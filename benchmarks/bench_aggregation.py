@@ -42,6 +42,18 @@ def test_grouped_aggregation(benchmark, db):
     assert result > 0
 
 
+def test_grouped_count_distinct(benchmark, db):
+    """count(DISTINCT b) per source over the 2-hop expansion: the paper's
+    k-hop count, grouped.  Each batch's (source, endpoint) pairs dedup in
+    one numpy kernel before any Python-level work."""
+    rows = benchmark(
+        lambda: db.query(
+            "MATCH (a:V)-[:E]->(:V)-[:E]->(b) RETURN id(a), count(DISTINCT b)"
+        ).rows
+    )
+    assert rows and all(count > 0 for _, count in rows)
+
+
 def test_order_by_limit_topk(benchmark, db):
     """Top-k via ORDER BY + LIMIT (the optimizer's bounded-heap path)."""
     result = benchmark(

@@ -25,6 +25,11 @@ Column ops used by the operators: :meth:`RecordBatch.take` (row gather),
 slice`, :meth:`RecordBatch.concat`, and :meth:`RecordBatch.from_rows` /
 :meth:`RecordBatch.iter_rows` — the bridges that let row-oriented
 operators (updates, Apply subtrees) interoperate with batch-native ones.
+
+Grouping and deduplication share one key definition, :func:`value_key`
+(row loops, via :func:`row_keys`), and one vectorized kernel,
+:func:`factorize`, which turns key columns into dense first-appearance
+codes without a per-row Python step.
 """
 
 from __future__ import annotations
@@ -44,10 +49,47 @@ __all__ = [
     "object_column",
     "null_column",
     "as_entity_ids",
+    "value_key",
+    "row_keys",
+    "factorize",
 ]
 
 _I64 = np.int64
 _FLOAT_EXACT_MAX = 2**53  # largest int float64 represents contiguously
+_NoneType = type(None)
+_PACK_SPAN = 2**31  # key span and row count _sorted_runs packs into int64
+_PLAIN_KEY_TYPES = frozenset((int, float, str, _NoneType))
+
+
+def value_key(value):
+    """The hashable grouping/dedup key of a runtime value — the one key
+    definition every DISTINCT, grouping and UNION path shares.  Two values
+    share a key iff openCypher treats them as the same for DISTINCT and
+    grouping: ``1`` and ``1.0`` do; ``true`` and ``1`` do not (Python's
+    ``True == 1`` must not leak into query results).  Entities key as
+    ``(kind, id)`` so id vectors key without materializing handles."""
+    t = type(value)
+    if t in _PLAIN_KEY_TYPES:
+        return value
+    if t is bool:
+        return ("bool", value)
+    if t is Node:
+        return ("node", value.id)
+    if t is Edge:
+        return ("edge", value.id)
+    if t is list:
+        return ("list", tuple(value_key(v) for v in value))
+    if t is dict:
+        return ("map", tuple(sorted((k, value_key(v)) for k, v in value.items())))
+    return value
+
+
+def row_keys(columns: Sequence["Column"], n: int) -> list:
+    """Per-row composite keys: ``tuple(value_key per column)`` for each of
+    the ``n`` rows (``()`` for every row when there are no columns)."""
+    if not columns:
+        return [()] * n
+    return list(zip(*[c.hash_keys() for c in columns]))
 
 
 def float64_exact(values) -> bool:
@@ -142,9 +184,8 @@ class EntityColumn:
         return self.ids < 0
 
     def hash_keys(self) -> list:
-        """Per-row hashable grouping/dedup keys, handle-free: the same
-        ``("node", id)`` tuples :func:`~repro.execplan.ops_stream.
-        _hashable` derives from a materialized handle."""
+        """Per-row :func:`value_key` keys, handle-free: the same
+        ``("node", id)`` tuples ``value_key`` derives from a handle."""
         kind = self.kind
         return [None if i < 0 else (kind, i) for i in self.ids.tolist()]
 
@@ -214,13 +255,7 @@ class ValueColumn:
         return np.zeros(len(self.values), dtype=np.bool_)
 
     def hash_keys(self) -> list:
-        from repro.execplan.ops_stream import _hashable
-
-        if self.values.dtype != object:
-            vals = self.to_objects()
-        else:
-            vals = self.values
-        return [_hashable(v) for v in vals]
+        return [value_key(v) for v in self.to_objects().tolist()]
 
 
 Column = Union[EntityColumn, ValueColumn]
@@ -249,6 +284,110 @@ def as_entity_ids(col: Column) -> Optional[Tuple[str, np.ndarray]]:
                 (-1 if v is None else v.id for v in col.values), dtype=_I64, count=len(col)
             )
     return None
+
+
+def _key_array(col: Column) -> Optional[np.ndarray]:
+    """One key column as a numpy array whose element equality is
+    :func:`value_key` equality (nulls included), or None when no dtype
+    keys its values exactly."""
+    if isinstance(col, EntityColumn):
+        return col.ids  # -1 null holes never equal a real id
+    values, nulls = col.values, col.nulls
+    if values.dtype != object:
+        arr = values if nulls is None else values[~nulls]
+        if arr.dtype == np.float64 and np.isnan(arr).any():
+            return None  # NaN never equals itself: row loop
+    else:
+        lst = values.tolist()
+        types = set(map(type, lst))
+        if _NoneType in types:
+            types.discard(_NoneType)
+            nulls = np.fromiter((v is None for v in lst), dtype=np.bool_, count=len(lst))
+            lst = [v for v in lst if v is not None]
+        if not types:
+            arr = np.zeros(0, dtype=np.bool_)
+        elif types == {int}:
+            try:
+                # exact: int64 keys never collapse like float64 would past 2**53
+                arr = np.array(lst, dtype=_I64)
+            except OverflowError:
+                return None
+        elif types <= {int, float}:
+            if not float64_exact(lst):
+                return None  # ints past 2**53 would collapse
+            try:
+                arr = np.array(lst, dtype=np.float64)
+            except OverflowError:
+                return None
+            if np.isnan(arr).any():
+                return None
+        elif types == {str}:
+            if any("\x00" in s for s in lst):
+                return None  # numpy U-dtype NUL padding would merge keys
+            arr = np.array(lst)
+        elif types == {bool}:
+            arr = np.array(lst, dtype=np.bool_)
+        elif types == {Node} or types == {Edge}:
+            arr = np.fromiter((v.id for v in lst), dtype=_I64, count=len(lst))
+        else:
+            return None  # lists, maps, mixed types: row loop
+    if nulls is None or not nulls.any():
+        return arr
+    # nulls become code -1 beside the dense codes of the present values
+    codes = np.full(len(nulls), -1, dtype=_I64)
+    codes[~nulls] = _sorted_runs(arr)[1]
+    return codes
+
+
+def _sorted_runs(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` as ``np.unique(key, return_index=True,
+    return_inverse=True)`` gives them.  Int keys spanning under 2**31 sort
+    as one packed ``(key - min) << 32 | position`` array instead: a plain
+    sort, several times faster than the stable argsort np.unique uses."""
+    n = len(key)
+    if key.dtype == _I64 and 0 < n < _PACK_SPAN:
+        lo = int(key.min())
+        if int(key.max()) - lo < _PACK_SPAN:
+            packed = np.sort(((key - lo) << 32) | np.arange(n, dtype=_I64))
+            runs = packed >> 32
+            starts = np.empty(n, dtype=np.bool_)
+            starts[0] = True
+            np.not_equal(runs[1:], runs[:-1], out=starts[1:])
+            positions = packed & 0xFFFFFFFF
+            inverse = np.empty(n, dtype=_I64)
+            inverse[positions] = np.cumsum(starts) - 1
+            return positions[starts], inverse
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def factorize(columns: Sequence[Column]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The dedup kernel: ``(codes, first)`` over the rows of one or more
+    key columns, or None when a column needs the row loop (NaN, ints past
+    int64 or — mixed with floats — past 2**53, strings holding NUL,
+    lists, maps, mixed types).
+
+    Two rows share a code iff their :func:`row_keys` are equal.  Codes
+    number the distinct keys in first-appearance order and ``first[c]`` is
+    the row where code ``c`` first occurs, so ``first`` ascends."""
+    if not columns:
+        return None
+    key = None
+    for col in columns:
+        arr = _key_array(col)
+        if arr is None:
+            return None
+        if key is None:
+            key = arr
+        else:
+            # mixed radix over dense codes: stays below n * (n + 1)
+            arr_first, arr_codes = _sorted_runs(arr)
+            key = _sorted_runs(key)[1] * len(arr_first) + arr_codes
+    first, inverse = _sorted_runs(key)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(order), dtype=_I64)
+    rank[order] = np.arange(len(order), dtype=_I64)
+    return rank[inverse], first[order]
 
 
 class RecordBatch:

@@ -28,6 +28,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CypherSemanticError, GraphError
+from repro.execplan.batch import value_key
 from repro.execplan.compiled import CompiledQuery, PlanSchema, compile_query
 from repro.execplan.expressions import ExecContext
 from repro.execplan.morsel import MorselDriver
@@ -180,13 +181,11 @@ class QueryEngine:
                 for _ in planned.root.produce(ctx):
                     pass  # update-only: drain for side effects
         if len(compiled.plans) > 1 and not compiled.union_all:
-            from repro.execplan.ops_stream import _hashable
-
             rows = list(zip(*column_data)) if column_data and column_data[0] else []
             seen = set()
             deduped: List[tuple] = []
             for row in rows:
-                key = tuple(_hashable(v) for v in row)
+                key = tuple(value_key(v) for v in row)
                 if key not in seen:
                     seen.add(key)
                     deduped.append(row)

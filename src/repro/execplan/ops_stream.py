@@ -6,9 +6,13 @@ emit :class:`~repro.execplan.batch.RecordBatch` columns —
 
 * Filter   = predicate kernel → boolean-mask compress,
 * Project  = column-at-a-time expression evaluation,
-* Aggregate= ``np.unique``-keyed group-by fast path for
-  count/sum/avg/min/max (object-dict fallback for everything else),
-* Distinct = unique over handle-free key columns,
+* Aggregate= group keys factorized by the ``factorize`` dedup kernel,
+  then ``bincount``/first-hit accumulation per group for every aggregate
+  kind; DISTINCT aggregates dedup their (group, value) pairs with the
+  same kernel first (object-dict row loop for keys or values no dtype
+  represents exactly),
+* Distinct = ``factorize`` first occurrences per batch, checked against
+  the cross-batch ``seen`` set (per-row loop for unkeyable columns),
 * Sort     = ``np.lexsort`` on typed key columns (+ top-k slice),
 * Skip/Limit = batch slicing with cross-batch carry,
 * Unwind/CartesianProduct = ``np.repeat``/``np.tile`` row gathers.
@@ -27,6 +31,7 @@ row/batch bridges.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,14 +42,16 @@ from repro.execplan.batch import (
     EntityColumn,
     RecordBatch,
     ValueColumn,
+    factorize,
     float64_exact as _float64_exact,
     object_column,
+    row_keys,
+    value_key,
 )
 from repro.execplan.batch_expr import as_column, true_mask, vectorize
 from repro.execplan.expressions import CompiledExpr, ExecContext, sort_key
 from repro.execplan.ops_base import Argument, PlanOp
 from repro.execplan.record import Layout, Record
-from repro.graph.entities import Edge, Node
 
 __all__ = [
     "Filter",
@@ -62,21 +69,7 @@ __all__ = [
 ]
 
 _I64 = np.int64
-_NoneType = type(None)
 _NUMERIC_TYPES = frozenset((int, float))
-
-
-def _hashable(value) -> Any:
-    """Turn any runtime value into a hashable grouping/dedup key."""
-    if isinstance(value, Node):
-        return ("node", value.id)
-    if isinstance(value, Edge):
-        return ("edge", value.id)
-    if isinstance(value, list):
-        return ("list", tuple(_hashable(v) for v in value))
-    if isinstance(value, dict):
-        return ("map", tuple(sorted((k, _hashable(v)) for k, v in value.items())))
-    return value
 
 
 def _eval_column(batch_fn, scalar_fn, batch: RecordBatch, ctx: ExecContext) -> Column:
@@ -233,13 +226,18 @@ class Aggregate(PlanOp):
     With no group keys, exactly one output row is emitted even on empty
     input (``count(*)`` over nothing is 0, ``sum`` is 0, others null).
 
-    Per batch the group keys factorize through ``np.unique`` when the key
-    column is an id vector or a homogeneous numeric/string column, and
-    count/sum/avg/min/max accumulate per group via ``bincount``/sorted
-    first-hit gathers; anything else (DISTINCT aggregates, collect, mixed
-    or composite keys) drops to the object-dict row loop for that batch.
-    Group *emission order* is first-appearance order in both paths, like
-    the row engine's insertion-ordered dict.
+    Per batch the group keys — any number of id vectors or homogeneous
+    int/float/string/bool columns, nulls included — factorize through the
+    :func:`~repro.execplan.batch.factorize` kernel, and each aggregate
+    accumulates per group: count/sum/avg via ``bincount``, min/max via
+    sorted first-hit gathers, collect via one stable sort by group.  A
+    DISTINCT aggregate first dedups the batch's (group, value) pairs with
+    the same kernel and feeds only values its group has not seen to those
+    accumulators.  Keys or values no dtype represents exactly (lists,
+    maps, mixed types, NaN, huge ints) take the object-dict row loop, for
+    the whole batch (keys) or that one aggregate (values).  Group
+    *emission order* is first-appearance order in both paths, like the
+    row engine's insertion-ordered dict.
     """
 
     name = "Aggregate"
@@ -259,12 +257,6 @@ class Aggregate(PlanOp):
             vectorize(spec.expr) if spec.expr is not None else None
             for _, spec in self._aggs
         ]
-        # loop-invariant: whether every aggregate can take the vectorized
-        # path (otherwise skip the per-batch key factorization entirely)
-        self._fast_specs = all(
-            not spec.distinct and spec.kind in ("count", "sum", "avg", "min", "max")
-            for _, spec in self._aggs
-        )
 
     def describe(self) -> str:
         return (
@@ -363,100 +355,46 @@ class Aggregate(PlanOp):
         # exec_batch_size=1 must BE the row engine: the vectorized
         # group-by is gated off so the differential leg really exercises
         # the scalar accumulation path
-        codes_info = (
-            self._group_codes(key_cols, n)
-            if ctx.batch_size > 1 and self._fast_specs
-            else None
-        )
+        codes_info = self._group_codes(key_cols, n) if ctx.batch_size > 1 else None
         if codes_info is None:
             self._absorb_rows(groups, key_cols, val_cols, specs, n)
             return
-        codes, appearance, keys, values_fn = codes_info
-        states_by_code: List[Optional[list]] = [None] * len(keys)
-        for pos in appearance:
-            key = keys[pos]
+        codes, keys, key_values = codes_info
+        states_by_code: List[list] = []
+        for pos, key in enumerate(keys):
             entry = groups.get(key)
             if entry is None:
-                entry = (values_fn(pos), [_AggState() for _ in specs])
+                entry = (key_values[pos], [_AggState() for _ in specs])
                 groups[key] = entry
-            states_by_code[pos] = entry[1]
+            states_by_code.append(entry[1])
         for spec_idx, (spec, col) in enumerate(zip(specs, val_cols)):
-            if not self._accumulate_fast(spec, col, codes, states_by_code, spec_idx, n):
+            accumulate = self._accumulate_distinct if spec.distinct else self._accumulate_fast
+            if not accumulate(spec, col, codes, states_by_code, spec_idx, n):
                 self._accumulate_rows_one(
                     spec, col.to_objects(), codes, states_by_code, spec_idx, n
                 )
 
-    def _group_codes(self, key_cols: List[Column], n: int):
-        """Factorize the group key: ``(codes, appearance_order, dict_keys,
-        values_fn)`` or None when the key shape needs the row loop.  Codes
-        index ``dict_keys``; ``appearance_order`` lists codes by first
-        occurrence so dict insertion order matches the row engine.
+    @staticmethod
+    def _group_codes(key_cols: List[Column], n: int):
+        """Factorize the group key: ``(codes, dict_keys, key_values)`` or
+        None when the key shape needs the row loop.  Codes index both
+        lists in first-appearance order, so dict insertion order matches
+        the row engine; ``key_values[code]`` is the group's first-seen key
+        values.
 
-        ``dict_keys`` entries MUST be shaped exactly like the row loop's
-        ``tuple(hash per key column)`` — one run may route different
-        batches through different paths, and both must land in the same
+        ``dict_keys`` entries are the row loop's own :func:`row_keys` of
+        each code's first row — one run may route different batches
+        through different paths, and both must land in the same
         ``groups`` entry."""
-        if not self._group:
-            return (
-                np.zeros(n, dtype=_I64),
-                [0],
-                [()],
-                lambda pos: [],
-            )
-        if len(self._group) != 1:
+        if not key_cols:
+            return np.zeros(n, dtype=_I64), [()], [()]
+        fact = factorize(key_cols)
+        if fact is None:
             return None
-        col = key_cols[0]
-        if isinstance(col, EntityColumn):
-            uniq, first_idx, codes = np.unique(
-                col.ids, return_index=True, return_inverse=True
-            )
-            kind = col.kind
-            graph = col.graph
-            ctor = Node if kind == "node" else Edge
-            keys = [((kind, i),) if i >= 0 else (None,) for i in uniq.tolist()]
-            ids = uniq.tolist()
-
-            def values_fn(pos):
-                i = ids[pos]
-                return [None if i < 0 else ctor(graph, i)]
-
-            appearance = np.argsort(first_idx, kind="stable").tolist()
-            return codes, appearance, keys, values_fn
-        values = col.to_objects()
-        lst = values.tolist()
-        types = set(map(type, lst))
-        if types == {int}:
-            try:
-                # exact: int64 keys never collapse like float64 would for
-                # values past 2**53 (overflow past int64 -> row loop)
-                arr = np.array(lst, dtype=_I64)
-            except OverflowError:
-                return None
-        elif types <= _NUMERIC_TYPES and types:
-            if not _float64_exact(lst):
-                return None  # ints past 2**53 would collapse: row loop
-            try:
-                arr = np.array(lst, dtype=np.float64)
-            except OverflowError:
-                return None  # int beyond float64 range: row loop
-            if np.isnan(arr).any():
-                return None  # NaN identity-grouping quirks: row loop
-        elif types == {str}:
-            if any("\x00" in s for s in lst):
-                return None  # numpy U-dtype NUL padding would merge keys
-            arr = np.array(lst)
-        else:
-            return None
-        uniq, first_idx, codes = np.unique(arr, return_index=True, return_inverse=True)
-        firsts = first_idx.tolist()
-        reps = [lst[i] for i in firsts]  # first-seen Python value, type kept
-        keys = [(v,) for v in reps]
-
-        def values_fn(pos):
-            return [reps[pos]]
-
-        appearance = np.argsort(first_idx, kind="stable").tolist()
-        return codes, appearance, keys, values_fn
+        codes, first = fact
+        firsts = [c.take(first) for c in key_cols]
+        key_values = list(zip(*[c.to_objects().tolist() for c in firsts]))
+        return codes, row_keys(firsts, len(first)), key_values
 
     def _accumulate_fast(self, spec, col: Optional[Column], codes, states_by_code, spec_idx, n) -> bool:
         k = len(states_by_code)
@@ -486,6 +424,19 @@ class Aggregate(PlanOp):
         if not len(nz):
             return True
         values = col.to_objects()
+        if spec.kind == "collect":
+            # one stable sort by group keeps each group's row order
+            nz_codes = codes[nz]
+            order = np.argsort(nz_codes, kind="stable")
+            collected = values[nz[order]].tolist()
+            group_codes, starts = np.unique(nz_codes[order], return_index=True)
+            bounds = starts.tolist() + [len(collected)]
+            for j, code in enumerate(group_codes.tolist()):
+                part = collected[bounds[j] : bounds[j + 1]]
+                state = states_by_code[code][spec_idx]
+                state.count += len(part)
+                state.values.extend(part)
+            return True
         present = [values[i] for i in nz.tolist()]
         ptypes = set(map(type, present))
         if not ptypes <= _NUMERIC_TYPES:
@@ -553,6 +504,47 @@ class Aggregate(PlanOp):
                 state.best = value
         return True
 
+    def _accumulate_distinct(self, spec, col: Column, codes, states_by_code, spec_idx, n) -> bool:
+        """A DISTINCT aggregate over one batch: the (group, value) pairs
+        dedup through ``factorize``, and only first occurrences whose key
+        their group's ``seen`` lacks reach :meth:`_accumulate_fast` — Python
+        work per distinct pair, never per row.  ``seen`` holds the row
+        loop's own ``value_key`` keys, so batches taking either path agree.
+        False, with nothing accumulated, when the values need the row
+        loop."""
+        nz = np.flatnonzero(~col.null_mask())
+        if not len(nz):
+            return True
+        if len(nz) < n:
+            col = col.take(nz)
+            codes = codes[nz]
+        one_group = len(states_by_code) == 1
+        # one group: the pairs are just the values
+        fact = factorize([col] if one_group else [ValueColumn(codes), col])
+        if fact is None:
+            return False
+        firsts = fact[1]
+        keys = col.take(firsts).hash_keys()
+        if one_group:
+            seen, seens = states_by_code[0][spec_idx].seen, None
+            keep = [key not in seen for key in keys] if seen else None
+        else:
+            seens = [states_by_code[g][spec_idx].seen for g in codes[firsts].tolist()]
+            keep = [key not in seen for seen, key in zip(seens, keys)]
+        rows = firsts if keep is None else firsts[np.array(keep, dtype=np.bool_)]
+        if not len(rows):
+            return True
+        if not self._accumulate_fast(
+            spec, col.take(rows), codes[rows], states_by_code, spec_idx, len(rows)
+        ):
+            return False
+        if seens is None:
+            seen.update(keys if keep is None else compress(keys, keep))
+        else:
+            for seen, key in compress(zip(seens, keys), keep):
+                seen.add(key)
+        return True
+
     def _accumulate_rows_one(self, spec, col, codes, states_by_code, spec_idx, n) -> None:
         codes_list = codes.tolist()
         for i in range(n):
@@ -560,11 +552,11 @@ class Aggregate(PlanOp):
             self._accumulate_value(spec, state, None if col is None else col[i])
 
     def _absorb_rows(self, groups, key_cols, val_cols, specs, n) -> None:
-        hash_cols = [c.hash_keys() for c in key_cols]
+        keys = row_keys(key_cols, n)
         obj_cols: List[Optional[np.ndarray]] = [None] * len(key_cols)
         vals = [None if c is None else c.to_objects() for c in val_cols]
         for i in range(n):
-            key = tuple(h[i] for h in hash_cols)
+            key = keys[i]
             entry = groups.get(key)
             if entry is None:
                 key_values = []
@@ -586,7 +578,7 @@ class Aggregate(PlanOp):
         if value is None:
             return
         if spec.distinct:
-            key = _hashable(value)
+            key = value_key(value)
             if key in state.seen:
                 return
             state.seen.add(key)
@@ -785,39 +777,50 @@ class Sort(PlanOp):
         yield from self._sorted_batch(big, ctx, self.top).chunks(size)
 
 
+def _admit_unseen(keys, positions, seen: set, n: int) -> Tuple[np.ndarray, List[Any]]:
+    """Admit each candidate row whose key ``seen`` lacks, adding the key
+    as it passes: the ``n``-row keep mask plus the admitted keys, in
+    order."""
+    mask = np.zeros(n, dtype=np.bool_)
+    admitted: List[Any] = []
+    rows: List[int] = []
+    for pos, key in zip(positions, keys):
+        if key not in seen:
+            seen.add(key)
+            admitted.append(key)
+            rows.append(pos)
+    mask[rows] = True
+    return mask, admitted
+
+
 class Distinct(PlanOp):
+    """Keep the first occurrence of every row key.
+
+    Per batch the ``factorize`` kernel finds the first occurrence of each
+    key, and only those rows' keys are checked against (and added to) the
+    run's ``seen`` set — Python work per distinct key in the batch, not
+    per row.  Columns the kernel refuses (lists, maps, mixed types), and
+    ``exec_batch_size=1``, check every row's key instead."""
+
     name = "Distinct"
 
     def __init__(self, child: PlanOp) -> None:
         super().__init__([child], child.out_layout)
 
     @staticmethod
-    def _dedup(batch: RecordBatch, seen: set) -> Tuple[RecordBatch, List[Any]]:
+    def _dedup(batch: RecordBatch, seen: set, vectorized: bool) -> Tuple[RecordBatch, List[Any]]:
         """The batch filtered against (and added to) ``seen``; also returns
         the kept rows' keys, in emission order."""
         n = batch.length
-        hash_cols = [c.hash_keys() for c in batch.columns]
-        mask = np.empty(n, dtype=np.bool_)
-        kept: List[Any] = []
-        if len(hash_cols) == 1:
-            keys = hash_cols[0]
-            for i in range(n):
-                key = keys[i]
-                if key in seen:
-                    mask[i] = False
-                else:
-                    seen.add(key)
-                    mask[i] = True
-                    kept.append(key)
+        fact = factorize(batch.columns) if vectorized else None
+        if fact is None:
+            positions = range(n)
+            keys = row_keys(batch.columns, n)
         else:
-            for i in range(n):
-                key = tuple(h[i] for h in hash_cols)
-                if key in seen:
-                    mask[i] = False
-                else:
-                    seen.add(key)
-                    mask[i] = True
-                    kept.append(key)
+            first = fact[1]
+            positions = first.tolist()
+            keys = row_keys([c.take(first) for c in batch.columns], len(first))
+        mask, kept = _admit_unseen(keys, positions, seen, n)
         return batch.compress(mask), kept
 
     def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
@@ -827,10 +830,11 @@ class Distinct(PlanOp):
                 yield from self._parallel_distinct(ctx, parts)
                 return
         seen: set = set()
+        vectorized = ctx.batch_size > 1  # 1 is the row engine, exactly
         for batch in self.child_stream(ctx):
             if not batch.length:
                 continue
-            out, _ = self._dedup(batch, seen)
+            out, _ = self._dedup(batch, seen, vectorized)
             if out.length:
                 yield out
 
@@ -840,6 +844,7 @@ class Distinct(PlanOp):
         occurrence of every key — in serial stream order — is the one
         emitted, exactly like the serial pass."""
         ctx.driver.morsels += len(parts)
+        vectorized = ctx.batch_size > 1
 
         def dedup_part(t):
             def run() -> List[Tuple[RecordBatch, List[Any]]]:
@@ -848,7 +853,7 @@ class Distinct(PlanOp):
                 for batch in t():
                     if not batch.length:
                         continue
-                    kept_batch, kept_keys = self._dedup(batch, local_seen)
+                    kept_batch, kept_keys = self._dedup(batch, local_seen, vectorized)
                     if kept_batch.length:
                         out.append((kept_batch, kept_keys))
                 return out
@@ -858,13 +863,7 @@ class Distinct(PlanOp):
         seen: set = set()
         for part_out in ctx.driver.run_ordered([dedup_part(t) for t in parts]):
             for batch, keys in part_out:
-                mask = np.empty(len(keys), dtype=np.bool_)
-                for i, key in enumerate(keys):
-                    if key in seen:
-                        mask[i] = False
-                    else:
-                        seen.add(key)
-                        mask[i] = True
+                mask, _ = _admit_unseen(keys, range(len(keys)), seen, len(keys))
                 out = batch.compress(mask)
                 if out.length:
                     yield out

@@ -23,6 +23,7 @@ Run standalone::
 from __future__ import annotations
 
 import argparse
+import logging
 import selectors
 import socket
 import threading
@@ -37,6 +38,8 @@ from repro.rediskv.graph_module import GraphModule
 from repro.rediskv.keyspace import Keyspace
 from repro.rediskv.resp import NEED_MORE, RespParser, SimpleString, encode
 from repro.rediskv.threadpool import Job, ThreadPool
+
+_log = logging.getLogger(__name__)
 
 __all__ = ["RedisLikeServer", "main"]
 
@@ -178,6 +181,7 @@ class _IOLoop:
                 except ReproError as exc:
                     return encode(exc)
                 except Exception as exc:  # noqa: BLE001 - reply, don't kill the worker
+                    _log.exception("internal error in %s", name)
                     return encode(exc)
 
             def done(job: Job, _slot=slot) -> None:
@@ -193,7 +197,8 @@ class _IOLoop:
             slot.data = encode(server._plain_command(name, args))
         except ReproError as exc:
             slot.data = encode(exc)
-        except Exception as exc:  # noqa: BLE001
+        except Exception as exc:  # noqa: BLE001 - reply, don't kill the I/O loop
+            _log.exception("internal error in %s", name)
             slot.data = encode(exc)
         slot.ready = True
 

@@ -90,5 +90,54 @@ class TestMixedExpressions:
         assert got == 316
 
 
+class TestBooleansAreNotIntegers:
+    """openCypher keeps ``true``/``false`` apart from ``1``/``0`` in DISTINCT
+    and grouping, while ``1`` and ``1.0`` are one value.  Rows compare
+    with their types, since Python's ``True == 1`` would hide a merge."""
+
+    @staticmethod
+    def typed(rows):
+        def tag(v):
+            if isinstance(v, list):
+                return [tag(x) for x in v]
+            return (type(v).__name__, v)
+
+        return [tuple(tag(v) for v in row) for row in rows]
+
+    @pytest.fixture(params=[1, 7, 1024])
+    def mixed(self, db, request):
+        db.graph.config.exec_batch_size = request.param
+        return db
+
+    def test_return_distinct(self, mixed):
+        rows = mixed.query("UNWIND [1, true, 1.0, 0, false] AS x RETURN DISTINCT x").rows
+        assert self.typed(rows) == self.typed([(1,), (True,), (0,), (False,)])
+
+    def test_group_by(self, mixed):
+        rows = mixed.query("UNWIND [1, true, 1.0, 0, false] AS x RETURN x, count(*)").rows
+        assert self.typed(rows) == self.typed([(1, 2), (True, 1), (0, 1), (False, 1)])
+
+    def test_distinct_aggregates(self, mixed):
+        rows = mixed.query(
+            "UNWIND [1, true, 1.0, 0, false, null] AS x "
+            "RETURN count(DISTINCT x), collect(DISTINCT x)"
+        ).rows
+        assert self.typed(rows) == self.typed([(4, [1, True, 0, False])])
+
+    def test_homogeneous_batches_keep_apart(self, mixed):
+        # the cartesian product re-chunks the 11 rows, so at batch size 7
+        # the ints and the booleans arrive in separate homogeneous batches
+        mixed.query("CREATE (:Z)")
+        q = "UNWIND [1, 1, 0, 1, 1, 0, 1, true, true, false, false] AS x MATCH (z:Z) "
+        assert self.typed(mixed.query(q + "RETURN DISTINCT x").rows) == self.typed(
+            [(1,), (0,), (True,), (False,)]
+        )
+        assert mixed.query(q + "RETURN count(DISTINCT x)").scalar() == 4
+
+    def test_nested_in_lists(self, mixed):
+        rows = mixed.query("UNWIND [[1], [true], [1.0]] AS x RETURN DISTINCT x").rows
+        assert self.typed(rows) == self.typed([([1],), ([True],)])
+
+
 def db_count(db, q):
     return db.query(q).scalar()

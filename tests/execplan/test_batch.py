@@ -12,7 +12,9 @@ from repro.execplan.batch import (
     RecordBatch,
     ValueColumn,
     as_entity_ids,
+    factorize,
     object_column,
+    row_keys,
 )
 from repro.execplan.record import Layout
 from repro.graph.config import GraphConfig
@@ -363,6 +365,89 @@ class TestAggregatePathCoherence:
         assert d.query("MATCH (n:N) RETURN min(n.p), max(n.p)").rows == [(big, big + 1)]
         # literal comparisons route through the Const kernel path
         assert d.query(f"MATCH (n:N) WHERE n.p > {big} RETURN count(*)").scalar() == 1
+
+
+def _loop_factorize(columns, n):
+    """The row-loop reference for ``factorize``: codes by first
+    appearance of each ``row_keys`` key."""
+    index: dict = {}
+    codes, first = [], []
+    for i, key in enumerate(row_keys(columns, n)):
+        if key not in index:
+            index[key] = len(first)
+            first.append(i)
+        codes.append(index[key])
+    return codes, first
+
+
+class TestFactorize:
+    def _check(self, columns):
+        n = len(columns[0])
+        got = factorize(columns)
+        assert got is not None
+        codes, first = got
+        assert (codes.tolist(), first.tolist()) == _loop_factorize(columns, n)
+
+    def test_matches_row_loop_reference(self):
+        rng = np.random.default_rng(7)
+        g = Graph("t")
+        for _ in range(8):
+            g.create_node(["L"], {})
+        pools = [
+            [0, 1, 2, -3, None],
+            [0, 2**40, -(2**40), 7, None],  # spans too wide to pack
+            [0.5, 1.0, 1, 2.5, None],  # 1 and 1.0 share a key
+            ["a", "b", "", "ab", None],
+            [True, False, None],
+        ]
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            cols = [
+                ValueColumn(object_column([pool[i] for i in rng.integers(0, len(pool), n)]))
+                for pool in pools
+            ]
+            cols.append(EntityColumn("node", rng.integers(-1, 8, n), g))
+            typed = rng.integers(0, 4, n).astype(np.float64)
+            cols.append(ValueColumn(typed, typed == 3))  # typed with a null mask
+            for width in (1, 2, 3):
+                picked = [cols[i] for i in rng.choice(len(cols), width, replace=False)]
+                self._check(picked)
+
+    def test_booleans_keep_apart_from_integers(self):
+        # no one dtype keys 1 and true apart, so a mixed column is refused
+        assert factorize([ValueColumn(object_column([1, True, 1.0]))]) is None
+        bools = ValueColumn(object_column([True, False, True]))
+        self._check([bools])
+        ints = ValueColumn(object_column([1, 0, 1]))
+        assert row_keys([bools], 3) != row_keys([ints], 3)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, float("nan")],
+            ["a", "a\x00"],
+            [[1], [1]],
+            [{"a": 1}],
+            [1, "1"],
+            [2**53 + 1, 1.5],
+            [2**64, 1],
+        ],
+    )
+    def test_refuses_what_no_dtype_keys_exactly(self, values):
+        assert factorize([ValueColumn(object_column(values))]) is None
+
+    def test_distinct_aggregate_mixes_fast_and_row_batches(self):
+        """Batches of 4 (the cartesian product re-chunks the UNWIND): ints
+        (kernel), then a string among ints (row loop), then ints again —
+        one ``seen`` set must span all three."""
+        d = GraphDB("distinct-mixed", GraphConfig(node_capacity=256, exec_batch_size=4))
+        d.query("CREATE (:Z)")
+        xs = [1, 2, 1, 2, "x", 1, 3, 2, 1, 2, 3, 1]
+        got = d.query(
+            "UNWIND $xs AS x MATCH (z:Z) RETURN count(DISTINCT x), collect(DISTINCT x)",
+            {"xs": xs},
+        ).rows
+        assert got == [(4, [1, 2, "x", 3])]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ change how many rows move per Python-level step, never what comes out.
 import pytest
 
 from repro import GraphDB
-from repro.execplan.ops_stream import _hashable
+from repro.execplan.batch import value_key
 from repro.graph.config import GraphConfig
 
 BATCH_SIZES = (1, 7, 1024)
@@ -18,7 +18,7 @@ BATCH_SIZES = (1, 7, 1024)
 
 def _normalize(rows):
     """Rows with entity handles replaced by comparable (kind, id) keys."""
-    return [tuple(_hashable(v) for v in row) for row in rows]
+    return [tuple(value_key(v) for v in row) for row in rows]
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +99,30 @@ QUERIES = [
     "MATCH (n:Ghost) RETURN labels(n), id(n) >= 0",
     # UNION dedup across plan parts
     "MATCH (n:Person) RETURN n.name AS name UNION MATCH (n:Ghost) RETURN n.name AS name",
+    # DISTINCT aggregates: the dedup kernel vs the row loop's seen sets,
+    # across batches (a cartesian product emits batch-size chunks, so at
+    # size 7 the 41 rows of `UNWIND ... MATCH (z:Ghost)` arrive in six)
+    "MATCH (a:Person)-[:KNOWS]-(m)-[:KNOWS]-(b) RETURN a, count(DISTINCT b), count(b)",
+    "MATCH (a:Person)-[:KNOWS*1..3]-(b) RETURN a.name, count(DISTINCT b), collect(DISTINCT b.name)",
+    "MATCH (a:Person)-[:KNOWS*1..3]->(b) RETURN collect(DISTINCT b.name), collect(DISTINCT b)",
+    "UNWIND range(0, 40) AS i MATCH (z:Ghost) RETURN i % 3 AS g, collect(DISTINCT (i * 7) % 5), count(DISTINCT i % 4)",
+    "MATCH (a:Person), (b:Person) RETURN a.name, count(DISTINCT b.tag), sum(DISTINCT b.age), collect(DISTINCT b.name)",
+    "MATCH (n:Person) RETURN sum(DISTINCT n.age), avg(DISTINCT n.age), min(DISTINCT n.age), max(DISTINCT n.age)",
+    "UNWIND [1.5, 2.5, 1.5, null, 0.5, 2.5, 2] AS x RETURN sum(DISTINCT x), avg(DISTINCT x), min(DISTINCT x), max(DISTINCT x), count(DISTINCT x)",
+    "MATCH (n:Person) RETURN min(DISTINCT n.name), max(DISTINCT n.name), count(DISTINCT n.name), collect(DISTINCT n.name)",
+    "MATCH (n:Person) RETURN count(DISTINCT n.tag), min(DISTINCT n.tag), max(DISTINCT n.tag), collect(DISTINCT n.tag)",
+    "MATCH (n:Person) RETURN n.age, count(DISTINCT n.tag), collect(DISTINCT n.name)",
+    "UNWIND range(0, 40) AS i MATCH (z:Ghost) RETURN i % 3 AS g, sum(DISTINCT i % 7), avg(DISTINCT (i % 4) * 0.5), min(DISTINCT i % 5), max(DISTINCT toString(i % 6))",
+    "UNWIND [null, null] AS x RETURN count(DISTINCT x), sum(DISTINCT x), min(DISTINCT x), collect(DISTINCT x)",
+    # lists and maps: no dtype keys them, so they take the row loop
+    "UNWIND [[1, 2], [1, 2], [2, 1], [], [true], [1], [1.0]] AS xs RETURN count(DISTINCT xs), collect(DISTINCT xs)",
+    "UNWIND [{a: 1}, {a: 1}, {a: 1.0}, {a: true}, {b: 1}] AS m RETURN count(DISTINCT m), collect(DISTINCT m)",
+    # multi-column RETURN DISTINCT, nulls and entities included
+    "MATCH (a:Person)-[:KNOWS]-(b) RETURN DISTINCT a.name, b.age",
+    "MATCH (a)-[:KNOWS*1..3]-(b) RETURN DISTINCT a, b",
+    "UNWIND range(0, 40) AS i MATCH (z:Ghost) RETURN DISTINCT i % 3, i % 4 = 0, toString(i % 2)",
+    "UNWIND range(0, 40) AS i MATCH (z:Ghost) WITH DISTINCT i % 5 AS r, [i % 2] AS l RETURN r, l",
+    "MATCH (a:Person), (b:Person) RETURN DISTINCT a.age, b.tag",
 ]
 
 

@@ -15,14 +15,14 @@ import pytest
 
 from repro import GraphDB
 from repro.execplan import morsel
-from repro.execplan.ops_stream import _hashable
+from repro.execplan.batch import value_key
 from repro.graph.config import GraphConfig
 
 MORSEL_SIZES = (1, 7, 2048)
 
 
 def _normalize(rows):
-    return [tuple(_hashable(v) for v in row) for row in rows]
+    return [tuple(value_key(v) for v in row) for row in rows]
 
 
 @pytest.fixture(scope="module")

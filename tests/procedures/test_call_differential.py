@@ -11,7 +11,7 @@ comes out.
 import pytest
 
 from repro import GraphDB
-from repro.execplan.ops_stream import _hashable
+from repro.execplan.batch import value_key
 from repro.graph.config import GraphConfig
 
 BATCH_SIZES = (1, 7, 1024)
@@ -19,7 +19,7 @@ WORKER_COUNTS = (1, 4)
 
 
 def _normalize(rows):
-    return [tuple(_hashable(v) for v in row) for row in rows]
+    return [tuple(value_key(v) for v in row) for row in rows]
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """End-to-end server tests over real TCP sockets."""
 
+import logging
 import threading
 import time
 
@@ -192,6 +193,36 @@ class TestConcurrency:
         c = RedisClient(port=server.port)
         assert c.graph_query("shared", "MATCH (n:W) RETURN count(n)").scalar() == 6
         c.close()
+
+
+class TestInternalErrorsAreLogged:
+    """An exception that is not a ReproError still becomes an error reply,
+    and its traceback goes to the server's log."""
+
+    @staticmethod
+    def _boom(*args):
+        raise RuntimeError("boom")
+
+    def _assert_logged(self, caplog, command):
+        records = [r for r in caplog.records if r.name == "repro.rediskv.server"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.ERROR
+        assert command in records[0].getMessage()
+        assert records[0].exc_info[0] is RuntimeError
+
+    def test_graph_command(self, server, client, caplog, monkeypatch):
+        caplog.set_level(logging.ERROR, logger="repro.rediskv.server")
+        monkeypatch.setattr(server.module, "query", self._boom)
+        with pytest.raises(ResponseError, match="boom"):
+            client.graph_query("g", "RETURN 1")
+        self._assert_logged(caplog, "GRAPH.QUERY")
+
+    def test_plain_command(self, server, client, caplog, monkeypatch):
+        caplog.set_level(logging.ERROR, logger="repro.rediskv.server")
+        monkeypatch.setattr(server, "_plain_command", self._boom)
+        with pytest.raises(ResponseError, match="boom"):
+            client.execute("PING")
+        self._assert_logged(caplog, "PING")
 
 
 class TestCypherParamParsing:
