@@ -11,6 +11,13 @@ The acceptance bar (asserted even under ``--benchmark-disable``): the
 cost-chosen join order is >= 10x faster than the forced-syntactic one;
 ``REPRO_BENCH_PLANNER_SPEEDUP_MIN`` overrides the floor, and the measured
 ratio lands in the benchmark JSON artifact via ``extra_info``.
+
+A second case times the two spellings of one predicate — an inline
+property map ``(a:P {uid: $u})`` and ``WHERE a.uid = $u`` — on the
+indexed point read and on a two-hop read whose middle-node conjunct
+filters between the hops.  Both spellings plan through one predicate
+path, so the two arms should time alike; they must return the same
+rows, and no ratio is asserted.
 """
 
 import os
@@ -91,3 +98,55 @@ def test_join_order_speedup_headline(benchmark, db):
         f"syntactic={syntactic:.4f}s cost={cost:.4f}s -> {speedup:.1f}x"
     )
     assert speedup >= floor, f"cost-chosen order only {speedup:.1f}x faster (need >= {floor}x)"
+
+
+SPELL_NODES = int(os.environ.get("REPRO_BENCH_PLANNER_SPELL_NODES", "20000"))
+SPELL_DEGREE = 5
+SPELLINGS = {
+    "point": (
+        "MATCH (a:P {uid: $u})-[:K]->(b) RETURN b.uid",
+        "MATCH (a:P)-[:K]->(b) WHERE a.uid = $u RETURN b.uid",
+    ),
+    "pushdown": (
+        "MATCH (a:P {uid: $u})-[:K]->(b:P {age: 3})-[:K]->(c) RETURN c.uid",
+        "MATCH (a:P)-[:K]->(b:P)-[:K]->(c) WHERE a.uid = $u AND b.age = 3 RETURN c.uid",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def spell_db():
+    """SPELL_NODES :P nodes (``uid``, ``age = uid % 10``, indexed on
+    ``uid``) with SPELL_DEGREE random out-edges each (seeded)."""
+    rng = np.random.default_rng(7)
+    n = SPELL_NODES
+    d = GraphDB("bench-spellings", GraphConfig(node_capacity=1024))
+    uid = list(range(n))
+    d.bulk_insert(
+        nodes=[{"labels": ("P",), "count": n,
+                "properties": {"uid": uid, "age": [u % 10 for u in uid]}}],
+        edges=[{"type": "K",
+                "src": np.repeat(np.arange(n), SPELL_DEGREE).tolist(),
+                "dst": rng.integers(0, n, n * SPELL_DEGREE).tolist(),
+                "endpoints": "batch"}],
+    )
+    d.query("CREATE INDEX ON :P(uid)")
+    return d
+
+
+def run_spelling(db: GraphDB, query: str, uids) -> list:
+    return [sorted(db.query(query, {"u": u}).rows) for u in uids]
+
+
+@pytest.mark.parametrize("spelling", ["inline", "where"])
+@pytest.mark.parametrize("shape", sorted(SPELLINGS))
+def test_predicate_spellings(benchmark, spell_db, shape, spelling):
+    inline, where = SPELLINGS[shape]
+    query = inline if spelling == "inline" else where
+    uids = list(range(0, SPELL_NODES, max(1, SPELL_NODES // 32)))
+    other = where if spelling == "inline" else inline
+    expected = run_spelling(spell_db, other, uids)
+    benchmark.extra_info["shape"] = shape
+    benchmark.extra_info["spelling"] = spelling
+    benchmark.extra_info["queries_per_round"] = len(uids)
+    assert benchmark(run_spelling, spell_db, query, uids) == expected

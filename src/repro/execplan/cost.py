@@ -6,8 +6,8 @@ System-R-style rules (the query-optimization layer Besta et al. name as
 what separates production graph engines from toys):
 
 * **scan cardinality** from per-label node counts (an AllNodeScan costs
-  ``N``, a label scan the label's count, an index probe the index's
-  average posting size ``size / NDV``),
+  ``N``, a label scan the label's count, an equality index seek the
+  index's average posting size ``size / NDV``),
 * **expansion fan-out** from per-type degree statistics: a traversal
   multiplies the frontier by the type's mean entries-per-node, a
   variable-length hop by the clamped geometric series of that fan,
@@ -34,7 +34,6 @@ from repro.execplan.ops_scan import (
     IndexOrderScan,
     IndexRangeScan,
     NodeByIdSeek,
-    NodeByIndexScan,
     NodeByLabelScan,
 )
 from repro.execplan.ops_stream import (
@@ -47,7 +46,7 @@ from repro.execplan.ops_stream import (
 )
 from repro.execplan.ops_call import ProcedureCall
 from repro.execplan.ops_traverse import CondVarLenTraverse, ConditionalTraverse, ExpandInto
-from repro.execplan.planner import _LabelCheckPredicate, _PropertyCheckPredicate
+from repro.execplan.planner import _LabelCheckPredicate
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graph.statistics import GraphStatistics
@@ -102,16 +101,6 @@ class CostModel:
 
     def label_selectivity(self, label: str) -> float:
         return min(1.0, self.label_count(label) / self.node_count)
-
-    def index_estimate(self, label: str, attribute: str) -> float:
-        """Expected postings of one equality probe: size / NDV (falls back
-        to the default equality selectivity of the label's count when the
-        index isn't in the snapshot yet)."""
-        entry = self.stats.indexes.get((label, attribute))
-        if entry is None:
-            return self.label_count(label) * DEFAULT_EQ_SELECTIVITY
-        size, ndv = entry
-        return size / max(1, ndv)
 
     def seek_estimate(self, label, attributes, kind, specs) -> float:
         """Expected rows of one IndexRangeScan: the index's size times the
@@ -213,38 +202,39 @@ class CostModel:
     def access_estimate(
         self,
         labels: Sequence[str],
-        prop_keys: Sequence[str],
-        schema,
+        conjunct_count: int,
         *,
         id_seek: bool = False,
+        seek: Optional[Tuple[float, int]] = None,
     ) -> Tuple[float, float, int]:
-        """(estimated rows, work, rule score) of scanning one node pattern.
+        """(estimated rows, work, rule score) of scanning one node pattern
+        with ``conjunct_count`` conjuncts filtering it; ``seek`` is the
+        (rows, conjuncts consumed) of the index seek chosen for it.
 
         ``work`` is what the access op itself materializes — the rows any
-        residual property/label Filter must then examine — while the first
-        value is the post-filter cardinality carried into the next step.
-        Pricing anchors by work (not output) is what stops a cheap-looking
-        filter from hiding an expensive scan behind it.  The rule score
-        mirrors ``_best_scan_anchor``'s syntactic ranking (id-seek 3 >
-        indexed 2 > label 1 > bare 0) and tie-breaks equal estimates, so
-        empty or uniform statistics reproduce the rule-based choice
-        exactly."""
+        residual label Filter or conjunct must then examine — while the
+        first value is the post-filter cardinality carried into the next
+        step.  Pricing anchors by work (not output) is what stops a
+        cheap-looking filter from hiding an expensive scan behind it.  The
+        rule score mirrors ``_best_scan_anchor``'s syntactic ranking
+        (id-seek 3 > index seek 2 > label 1 > bare 0) and tie-breaks equal
+        estimates, so empty or uniform statistics reproduce the
+        rule-based choice exactly."""
         if id_seek:
             return 1.0, 1.0, 3
         if labels:
             extra = 1.0
             for lbl in labels[1:]:
                 extra *= self.label_selectivity(lbl)
-            indexed = [k for k in prop_keys if schema.has_index(labels[0], k)]
-            if indexed:
-                best = min(self.index_estimate(labels[0], k) for k in indexed)
-                residual = DEFAULT_EQ_SELECTIVITY ** (len(prop_keys) - 1)
-                return best * residual * extra, best, 2
+            if seek is not None:
+                rows, consumed = seek
+                residual = DEFAULT_EQ_SELECTIVITY ** (conjunct_count - consumed)
+                return rows * residual * extra, rows, 2
             count = self.label_count(labels[0])
-            sel = DEFAULT_EQ_SELECTIVITY ** len(prop_keys)
+            sel = DEFAULT_EQ_SELECTIVITY ** conjunct_count
             return count * sel * extra, count, 1
         n = float(self.node_count)
-        return n * DEFAULT_EQ_SELECTIVITY ** len(prop_keys), n, 0
+        return n * DEFAULT_EQ_SELECTIVITY ** conjunct_count, n, 0
 
     def step_estimate(
         self,
@@ -252,7 +242,7 @@ class CostModel:
         types: Sequence[str],
         direction: str,
         dst_labels: Sequence[str],
-        dst_prop_count: int,
+        dst_conjunct_count: int,
         *,
         variable_length: bool = False,
         min_hops: int = 1,
@@ -261,12 +251,12 @@ class CostModel:
     ) -> Tuple[float, float, float]:
         """(rows after the step, work, source-side distinct fraction).
 
-        ``work`` is what the traversal materializes before any
-        destination *property* Filter runs (labels are free — they fold
-        into the algebraic expression as a diagonal operand, so wrong-label
-        rows never exist); the first value applies the property
-        selectivity on top and is the frontier carried into the next
-        step.  The last value is the direction-asymmetry tie-break: when
+        ``work`` is what the traversal materializes before the Filter of
+        the ``dst_conjunct_count`` conjuncts placed on the destination
+        runs (labels are free — they fold into the algebraic expression as
+        a diagonal operand, so wrong-label rows never exist); the first
+        value applies their selectivity on top and is the frontier carried
+        into the next step.  The last value is the direction-asymmetry tie-break: when
         two extensions price identically, the one whose source side
         touches fewer distinct nodes wins (its frontier matrix is
         sparser)."""
@@ -275,7 +265,7 @@ class CostModel:
         label_sel = 1.0
         for lbl in dst_labels:
             label_sel *= self.label_selectivity(lbl)
-        prop_sel = DEFAULT_EQ_SELECTIVITY ** dst_prop_count
+        prop_sel = DEFAULT_EQ_SELECTIVITY ** dst_conjunct_count
         fan = self.fan(types, direction)
         if dst_bound:
             # both endpoints fixed: P(entry exists) per row
@@ -309,8 +299,6 @@ def _predicate_selectivity(model: CostModel, predicate) -> float:
         for lbl in predicate._wanted:
             sel *= model.label_selectivity(lbl)
         return sel
-    if isinstance(predicate, _PropertyCheckPredicate):
-        return DEFAULT_EQ_SELECTIVITY ** len(predicate._checks)
     return DEFAULT_FILTER_SELECTIVITY
 
 
@@ -396,9 +384,6 @@ def _estimate(op: PlanOp, model: CostModel) -> float:
         return _child_est(op) if op.children else 1.0
     if isinstance(op, AllNodeScan):
         return (_child_est(op) if op.children else 1.0) * n
-    if isinstance(op, NodeByIndexScan):
-        base = model.index_estimate(op._label, op._attribute)
-        return (_child_est(op) if op.children else 1.0) * base
     if isinstance(op, IndexRangeScan):
         base = model.seek_estimate(
             op._label, op._attributes, op._kind, [(s.op, s.literal) for s in op._specs]

@@ -127,8 +127,11 @@ class PlanOp:
         est = getattr(self, "est_rows", None)
         if est is not None:
             # cost-based planning: the estimate the plan was priced with;
-            # under PROFILE it sits next to the actual Records produced
-            line += f" | est_rows: {int(round(est))}"
+            # under PROFILE it sits next to the actual Records produced.
+            # A positive estimate shows as at least 1: "0" would claim an
+            # operator that may well produce rows produces none
+            shown = int(round(est))
+            line += f" | est_rows: {max(shown, 1) if est > 0 else shown}"
         if profile is not None:
             line += profile.suffix(self)
         lines = [line]

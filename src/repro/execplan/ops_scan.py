@@ -25,7 +25,6 @@ from repro.graph.index import _family_of
 __all__ = [
     "AllNodeScan",
     "NodeByLabelScan",
-    "NodeByIndexScan",
     "NodeByIdSeek",
     "IndexRangeScan",
     "IndexOrderScan",
@@ -149,8 +148,11 @@ class NodeByIdSeek(_NodeEmitScan):
 
     def _node_ids(self, ctx: ExecContext, record: Optional[Record]) -> np.ndarray:
         node_id = self._id_expr(record if record is not None else [], ctx)
-        # bools are not ids (id(n) = true must match nothing, like the
-        # residual filter's _equal(1, true) used to guarantee)
+        # exactly the ids the consumed `id(n) = expr` conjunct holds True
+        # for under _equal: integral floats match, bools, NaN and
+        # non-integral numbers match nothing
+        if type(node_id) is float and node_id.is_integer():
+            node_id = int(node_id)
         if type(node_id) is not int or not ctx.graph.has_node(node_id):
             return np.empty(0, dtype=_I64)
         return np.asarray([node_id], dtype=_I64)
@@ -183,49 +185,6 @@ class NodeByLabelScan(_NodeEmitScan):
 
     def _node_ids(self, ctx: ExecContext, record: Optional[Record]) -> np.ndarray:
         return ctx.graph.nodes_with_label(self._label)
-
-
-class NodeByIndexScan(_NodeEmitScan):
-    """Probe an exact-match index: ``MATCH (n:L {attr: value})`` where an
-    index exists on (L, attr)."""
-
-    name = "NodeByIndexScan"
-
-    def __init__(
-        self,
-        var: str,
-        label: str,
-        attribute: str,
-        value: CompiledExpr,
-        child: Optional[PlanOp] = None,
-    ) -> None:
-        super().__init__(var, child)
-        self._label = label
-        self._attribute = attribute
-        self._value = value
-
-    def describe(self) -> str:
-        return f"NodeByIndexScan | ({self._var}:{self._label} {{{self._attribute}}})"
-
-    def _record_dependent(self) -> bool:
-        return True
-
-    def _node_ids(self, ctx: ExecContext, record: Optional[Record]) -> np.ndarray:
-        index = ctx.graph.get_index(self._label, self._attribute)
-        value = self._value(record if record is not None else [], ctx)
-        if index is None:
-            # the index vanished between plan lookup and execution (the
-            # schema-version bump invalidates the cached plan for the NEXT
-            # request); degrade to a filtered label scan rather than fail
-            return np.asarray(
-                [
-                    int(nid)
-                    for nid in ctx.graph.nodes_with_label(self._label)
-                    if ctx.graph.node_property(int(nid), self._attribute) == value
-                ],
-                dtype=_I64,
-            )
-        return np.asarray(sorted(index.lookup(value)), dtype=_I64)
 
 
 class IndexOrderScan(_NodeEmitScan):

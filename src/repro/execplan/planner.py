@@ -10,8 +10,11 @@ Mirrors RedisGraph's ExecutionPlan construction:
   matrix × destination label diagonals); single hops become
   ConditionalTraverse / ExpandInto, variable-length hops become
   CondVarLenTraverse,
-* inline property maps lower to filters (or into the index probe at the
-  anchor), WHERE lowers to a Filter operation,
+* inline property maps lower to ``var.key = value`` WHERE conjuncts, so
+  both spellings share one extraction: the anchor's NodeByIdSeek or
+  IndexRangeScan consumes the conjuncts it answers, every other conjunct
+  becomes a Filter right above the first operation that binds all its
+  variables, and what no single path binds filters after the paths join,
 * WITH/RETURN lower to Project or Aggregate (+ Distinct/Sort/Skip/Limit),
   with aggregate calls rewritten into placeholder slots and implicit
   grouping keys lifted from mixed expressions.
@@ -30,8 +33,7 @@ from repro.cypher import ast_nodes as A
 from repro.cypher.semantic import AGGREGATE_FUNCTIONS, has_aggregate
 from repro.execplan.algebraic import build_traverse_expression
 from repro.execplan.batch import ValueColumn, as_entity_ids
-from repro.execplan.batch_expr import as_column, vectorize
-from repro.execplan.expressions import CompiledExpr, ExecContext, _equal, compile_expr
+from repro.execplan.expressions import CompiledExpr, compile_expr
 from repro.execplan.ops_base import Argument, PlanOp, Unit
 from repro.execplan.ops_call import ProcedureCall
 from repro.execplan.ops_path import PathSegment, ProjectPath
@@ -41,7 +43,6 @@ from repro.execplan.ops_scan import (
     IndexOrderScan,
     IndexRangeScan,
     NodeByIdSeek,
-    NodeByIndexScan,
     NodeByLabelScan,
     SeekSpec,
 )
@@ -102,8 +103,11 @@ class _Planner:
         self._anon = itertools.count()
         self.writes = False
         self.columns: Optional[List[str]] = None
-        self._id_seeks: Dict[str, A.Expr] = {}
-        self._consumed_seeks: Set[str] = set()
+        # the current MATCH's AND-conjuncts (inline maps lowered in) with
+        # their identifiers; seeks and placed Filters consume them by
+        # node identity, what is left is the residual WHERE filter
+        self._conjuncts: List[Tuple[A.Expr, Set[str]]] = []
+        self._id_seeks: Dict[str, Tuple[A.Expr, A.Expr]] = {}
         self._range_preds: Dict[str, List["_RangeConjunct"]] = {}
         self._consumed_conjuncts: Set[int] = set()
         stats = getattr(schema, "stats", None)
@@ -207,35 +211,7 @@ class _Planner:
         if clause.optional:
             self._plan_optional_match(clause)
             return
-        # `WHERE id(n) = <expr>` gives the anchor an O(1) id-seek access
-        # path (the k-hop benchmark's seed lookup).  When every conjunct
-        # of the WHERE was consumed by a seek, the residual filter is
-        # provably true (the seek emits exactly the node with that id, or
-        # nothing for null/non-integer ids) and is dropped entirely.
-        self._id_seeks = _extract_id_seeks(clause.where)
-        self._range_preds = _extract_range_conjuncts(clause.where)
-        self._consumed_seeks = set()
-        self._consumed_conjuncts = set()
-        seeks = self._id_seeks
-        try:
-            for path in clause.patterns:
-                self._plan_path(path)
-            consumed = self._consumed_seeks
-            consumed_conjuncts = self._consumed_conjuncts
-        finally:
-            self._id_seeks = {}
-            self._range_preds = {}
-            self._consumed_seeks = set()
-            self._consumed_conjuncts = set()
-        if clause.where is None:
-            return
-        # conjuncts an IndexRangeScan consumed emit exactly the rows the
-        # conjunct holds True for, so they come off the residual filter;
-        # stripping is by node identity, never structure, so a repeated
-        # conjunct only loses the one occurrence the seek was built from
-        residual = _strip_conjuncts(clause.where, consumed_conjuncts)
-        if residual is not None and not _fully_consumed_by_seeks(residual, consumed, seeks):
-            self.root = Filter(self.root, compile_expr(residual, self._layout()), "WHERE")
+        self._plan_patterns(clause.patterns, clause.where)
 
     def _plan_optional_match(self, clause: A.MatchClause) -> None:
         if self.root is None:
@@ -245,16 +221,87 @@ class _Planner:
         else:
             left = self.root
         argument = Argument(left.out_layout)
-        sub = _Planner(self.schema)
-        sub.root = argument
-        sub.visible = list(self.visible)
-        for path in clause.patterns:
-            sub._plan_path(path)
-        if clause.where is not None:
-            sub.root = Filter(sub.root, compile_expr(clause.where, sub._layout()), "WHERE")
+        sub = self._subplanner(argument)
+        sub._plan_patterns(clause.patterns, clause.where)
         self.root = ApplyOptional(left, sub.root, argument)
         for name in sub.visible:
             self._expose(name)
+
+    def _subplanner(self, argument: Argument) -> "_Planner":
+        """A planner for an Apply-style arm rooted at ``argument``; it
+        shares the anonymous-name counter, so the arm's planner names
+        never collide with the outer stream's."""
+        sub = _Planner(self.schema)
+        sub.root = argument
+        sub.visible = list(self.visible)
+        sub._anon = self._anon
+        return sub
+
+    def _plan_patterns(self, patterns: Sequence[A.Path], where: Optional[A.Expr]) -> None:
+        """Plan one MATCH (or MERGE match arm): lower the inline property
+        maps into ``where``'s AND-conjuncts, walk every path, and filter
+        whatever no seek consumed and no path could place on its own."""
+        patterns, conjuncts = self._lower_property_maps(patterns, where)
+        self._conjuncts = [(c, _identifier_names(c)) for c in conjuncts]
+        self._id_seeks = _extract_id_seeks(conjuncts)
+        self._range_preds = _extract_range_conjuncts(conjuncts)
+        self._consumed_conjuncts = set()
+        try:
+            for path in patterns:
+                self._plan_path(path)
+            residual = [c for c in conjuncts if id(c) not in self._consumed_conjuncts]
+        finally:
+            self._conjuncts = []
+            self._id_seeks = {}
+            self._range_preds = {}
+            self._consumed_conjuncts = set()
+        if residual:
+            layout = self._layout()
+            self.root = Filter(self.root, [compile_expr(c, layout) for c in residual], "WHERE")
+
+    def _lower_property_maps(
+        self, patterns: Sequence[A.Path], where: Optional[A.Expr]
+    ) -> Tuple[List[A.Path], List[A.Expr]]:
+        """Rewrite every inline property map ``{k: v}`` into the
+        AND-conjunct ``var.k = v`` (anonymous elements get planner names),
+        so inline maps and WHERE take one predicate path.  Returns the
+        map-free patterns and the conjuncts: the maps' in pattern order,
+        then ``where``'s."""
+        conjuncts: List[A.Expr] = []
+
+        def lower(element, var):
+            for key, value in element.properties:
+                conjuncts.append(A.Comparison("=", A.PropertyAccess(A.Identifier(var), key), value))
+            return dataclasses.replace(element, var=var, properties=())
+
+        lowered = []
+        for path in patterns:
+            nodes, rels = [], []
+            for i, node in enumerate(path.nodes):
+                if node.properties:
+                    node = lower(node, node.var or self._anon_var())
+                nodes.append(node)
+                if i == len(path.rels):
+                    break
+                rel = path.rels[i]
+                if rel.properties:
+                    if rel.variable_length:
+                        raise CypherSemanticError(
+                            "property maps on variable-length relationships are not supported"
+                        )
+                    rel = lower(rel, rel.var or self._anon_var())
+                rels.append(rel)
+            lowered.append(dataclasses.replace(path, nodes=tuple(nodes), rels=tuple(rels)))
+        return lowered, conjuncts + _split_and(where)
+
+    def _conjuncts_on(self, var: str, bound: Set[str]) -> List[A.Expr]:
+        """Unconsumed conjuncts a Filter would place on ``var`` once it
+        binds: those naming ``var`` and otherwise only ``bound`` names."""
+        return [
+            c
+            for c, names in self._conjuncts
+            if var in names and names <= bound | {var} and id(c) not in self._consumed_conjuncts
+        ]
 
     def _plan_path(self, path: A.Path) -> None:
         path_var = path.var
@@ -285,19 +332,13 @@ class _Planner:
                 break
         connected = anchor is not None
 
-        # a path may also be *correlated*: its property maps reference bound
-        # variables (UNWIND xs AS x MATCH (n {k: x})); chain the scan onto
-        # the stream instead of cross-producting
+        # a path may also be *correlated*: one of its conjuncts references
+        # a bound variable (UNWIND xs AS x MATCH (n {k: x})); chain the
+        # scan onto the stream instead of cross-producting
         correlated = False
         if not connected and bound:
-            refs: Set[str] = set()
-            for node in nodes:
-                for _, e in node.properties:
-                    refs |= _identifier_names(e)
-            for rel in rels:
-                for _, e in rel.properties:
-                    refs |= _identifier_names(e)
-            correlated = bool(refs & bound)
+            own = set(node_vars) | {r.var for r in rels if r.var} | {path_var}
+            correlated = any(names & own and names & bound for _, names in self._conjuncts)
 
         if anchor is None:
             if self.cost is not None:
@@ -307,13 +348,12 @@ class _Planner:
 
         # build the path subtree; disconnected paths start their own chain
         chain_root = self.root if (connected or correlated) else None
-        chain = _PathChain(self, chain_root, node_vars)
+        chain = _PathChain(self, chain_root)
         if not connected:
             chain.scan_anchor(nodes[anchor], node_vars[anchor])
         else:
-            chain.note_bound(node_vars[anchor])
-            # anchor node's labels/props still need checking when restated
-            chain.filter_node_constraints(nodes[anchor], node_vars[anchor])
+            # a restated bound anchor's labels still need checking
+            chain.constrain(node_vars[anchor], nodes[anchor].labels)
 
         if self.cost is not None:
             # greedy join order: at each point extend whichever side of the
@@ -325,7 +365,7 @@ class _Planner:
                 nodes,
                 node_vars,
                 rels,
-                bound=set(chain.bound_in_chain),
+                bound=chain.bound(),
             )
             for i, forward, _ in steps:
                 if forward:
@@ -383,42 +423,20 @@ class _Planner:
         return ProjectPath(subtree, path_var, node_slots, segments)
 
     def _best_scan_anchor(self, nodes: Sequence[A.NodePattern], node_vars: Sequence[str]) -> int:
-        """Cheapest entry point: id-seek > indexed property > label > any."""
+        """Cheapest entry point: id-seek > index seek > label > any."""
         best, best_score = 0, -1
+        bound = self._bound()
         for i, node in enumerate(nodes):
             score = 0
             if node_vars[i] in self._id_seeks:
                 score = 3
             elif node.labels:
                 score = 1
-                if node.properties:
-                    for key, _ in node.properties:
-                        if self.schema.has_index(node.labels[0], key):
-                            score = 2
-                            break
-                if score == 1 and self._conjunct_servable(node.labels[0], node_vars[i]):
+                if self._pick_conjunct_seek(node.labels[0], node_vars[i], bound) is not None:
                     score = 2
             if score > best_score:
                 best, best_score = i, score
         return best
-
-    def _conjunct_servable(self, label: str, var: str) -> bool:
-        """Whether a WHERE conjunct on ``var`` can drive an index seek —
-        the rule-based twin of the seek pricing below."""
-        conjuncts = self._range_preds.get(var)
-        if not conjuncts:
-            return False
-        bound = self._bound()
-        for c in conjuncts:
-            if _identifier_names(c.value) - bound:
-                continue
-            if self.schema.has_index(label, c.attr):
-                return True
-            if c.op == "=" and any(
-                attrs[0] == c.attr for attrs in self.schema.composite_indexes(label)
-            ):
-                return True
-        return False
 
     def _pick_conjunct_seek(self, label: str, var: str, base_names: Set[str]):
         """Choose the index seek for ``var``'s WHERE conjuncts, or None.
@@ -430,7 +448,7 @@ class _Planner:
         prefix).  Rule ranking prefers coverage, then range over
         composite, then attribute order; with statistics the cheapest
         priced candidate wins and one pricing worse than its label scan
-        is rejected, mirroring the inline-map probe's degenerate guard.
+        is rejected.
 
         Returns (kind, index attributes, conjuncts consumed, est rows).
         """
@@ -486,19 +504,16 @@ class _Planner:
     def _anchor_access_estimate(
         self, node: A.NodePattern, var: str
     ) -> Tuple[float, float, int]:
-        est, work, score = self.cost.access_estimate(
-            node.labels,
-            tuple(k for k, _ in node.properties),
-            self.schema,
-            id_seek=var in self._id_seeks,
+        bound = self._bound()
+        id_seek = var in self._id_seeks
+        seek = None
+        if node.labels and not id_seek:
+            pick = self._pick_conjunct_seek(node.labels[0], var, bound)
+            if pick is not None:
+                seek = pick[3], len(pick[2])
+        return self.cost.access_estimate(
+            node.labels, len(self._conjuncts_on(var, bound)), id_seek=id_seek, seek=seek
         )
-        if score >= 2 or not node.labels:
-            return est, work, score
-        pick = self._pick_conjunct_seek(node.labels[0], var, self._bound())
-        if pick is not None and pick[3] is not None and pick[3] < work:
-            seek_rows = pick[3]
-            return min(est, seek_rows), seek_rows, 2
-        return est, work, score
 
     def _price_step(
         self, rel: A.RelPattern, dst_node: A.NodePattern, dst_var: str,
@@ -517,7 +532,7 @@ class _Planner:
             rel.types,
             direction,
             () if dst_bound else dst_node.labels,
-            0 if dst_bound else len(dst_node.properties),
+            0 if dst_bound else len(self._conjuncts_on(dst_var, seen | self._bound())),
             variable_length=rel.variable_length,
             min_hops=min_hops,
             max_hops=max_hops,
@@ -649,10 +664,8 @@ class _Planner:
     def _plan_merge(self, clause: A.MergeClause) -> None:
         child = self.root if self.root is not None else Unit()
         argument = Argument(child.out_layout)
-        sub = _Planner(self.schema)
-        sub.root = argument
-        sub.visible = list(self.visible)
-        sub._plan_path(clause.pattern)
+        sub = self._subplanner(argument)
+        sub._plan_patterns((clause.pattern,), None)
         bound = set(child.out_layout.names)
         paths = [self._create_specs(clause.pattern, bound, child.out_layout)]
         # ON CREATE / ON MATCH items compile against the merge arm's layout
@@ -906,66 +919,34 @@ class _Planner:
 
 class _PathChain:
     """Builds the op chain of one MATCH path, walking outward from the
-    anchor node."""
+    anchor node; after each binding step it places every conjunct whose
+    variables are now all bound."""
 
-    def __init__(self, planner: _Planner, root: Optional[PlanOp], node_vars: List[str]) -> None:
+    def __init__(self, planner: _Planner, root: Optional[PlanOp]) -> None:
         self.planner = planner
         self.root = root
-        self.bound_in_chain: Set[str] = set(root.out_layout.names) if root is not None else set()
 
-    def note_bound(self, var: str) -> None:
-        self.bound_in_chain.add(var)
+    def bound(self) -> Set[str]:
+        return set(self.root.out_layout.names) if self.root is not None else set()
 
     def scan_anchor(self, node: A.NodePattern, var: str) -> None:
+        from repro.execplan.record import Layout
+
         planner = self.planner
-        schema = planner.schema
         child = self.root  # None for standalone paths; stream for correlated
-        base_layout = child.out_layout if child is not None else None
+        layout = child.out_layout if child is not None else Layout()
+        base = set(layout.names)
         scan: PlanOp
-        seek_expr = planner._id_seeks.get(var)
-        if seek_expr is not None and not (_identifier_names(seek_expr) - (set(base_layout.names) if base_layout else set())):
-            from repro.execplan.record import Layout
-
-            id_fn = compile_expr(seek_expr, base_layout or Layout())
-            self.root = NodeByIdSeek(var, id_fn, child)
-            self.bound_in_chain.add(var)
-            planner._consumed_seeks.add(var)
-            self.filter_node_constraints(node, var)
-            return
-        if node.labels:
-            index_key = None
-            best_cost = None
-            for key, value_expr in node.properties:
-                if schema.has_index(node.labels[0], key):
-                    if planner.cost is None:
-                        index_key = (key, value_expr)
-                        break
-                    # priced: cheapest indexed property (smallest average
-                    # posting list), not the first one in pattern order
-                    cost = planner.cost.index_estimate(node.labels[0], key)
-                    if best_cost is None or cost < best_cost:
-                        index_key, best_cost = (key, value_expr), cost
-            if (
-                best_cost is not None
-                and best_cost > planner.cost.label_count(node.labels[0])
-            ):
-                # a degenerate index pricing worse than its label scan
-                index_key = None
-            pick = None
-            if index_key is None:
-                # no inline-map probe: WHERE conjuncts on this variable may
-                # still drive a range/composite seek
-                pick = planner._pick_conjunct_seek(
-                    node.labels[0], var, set(base_layout.names) if base_layout else set()
-                )
-            from repro.execplan.record import Layout
-
-            if index_key is not None:
-                value_fn = compile_expr(index_key[1], base_layout or Layout())
-                scan = NodeByIndexScan(var, node.labels[0], index_key[0], value_fn, child)
-            elif pick is not None:
+        labels = node.labels
+        seek = planner._id_seeks.get(var)
+        if seek is not None and not (_identifier_names(seek[1]) - base):
+            conjunct, value = seek
+            scan = NodeByIdSeek(var, compile_expr(value, layout), child)
+            planner._consumed_conjuncts.add(id(conjunct))
+        elif labels:
+            pick = planner._pick_conjunct_seek(labels[0], var, base)
+            if pick is not None:
                 kind, attrs, chosen, _est = pick
-                layout = base_layout or Layout()
                 specs = [
                     SeekSpec(
                         c.attr,
@@ -976,34 +957,34 @@ class _PathChain:
                     )
                     for c in chosen
                 ]
-                scan = IndexRangeScan(var, node.labels[0], kind, attrs, specs, child)
+                scan = IndexRangeScan(var, labels[0], kind, attrs, specs, child)
                 planner._consumed_conjuncts.update(id(c.expr) for c in chosen)
             else:
-                scan = NodeByLabelScan(var, node.labels[0], child)
+                scan = NodeByLabelScan(var, labels[0], child)
+            labels = labels[1:]
         else:
             scan = AllNodeScan(var, child)
         self.root = scan
-        self.bound_in_chain.add(var)
-        self.filter_node_constraints(node, var, skip_first_label=bool(node.labels))
+        self.constrain(var, labels)
 
-    def filter_node_constraints(
-        self, node: A.NodePattern, var: str, *, skip_first_label: bool = False
-    ) -> None:
-        """Residual label/property checks not already guaranteed upstream."""
-        labels = node.labels[1:] if skip_first_label else node.labels
+    def constrain(self, var: str, labels: Sequence[str]) -> None:
+        """Check ``labels`` on the just-bound ``var``, then filter every
+        pending conjunct whose variables the chain now all binds."""
         if labels:
             slot = self.root.out_layout.slot(var)
             predicate = _LabelCheckPredicate(slot, tuple(labels))
             self.root = Filter(self.root, predicate, f"{var}:{':'.join(labels)}")
-        if node.properties:
-            self._property_filter(var, node.properties)
-
-    def _property_filter(self, var: str, properties) -> None:
-        layout = self.root.out_layout
-        slot = layout.slot(var)
-        checks = [(key, compile_expr(value, layout)) for key, value in properties]
-        predicate = _PropertyCheckPredicate(slot, checks)
-        self.root = Filter(self.root, predicate, f"{var}{{{', '.join(k for k, _ in checks)}}}")
+        planner = self.planner
+        bound = self.bound()
+        ready = [
+            c
+            for c, names in planner._conjuncts
+            if names <= bound and id(c) not in planner._consumed_conjuncts
+        ]
+        if ready:
+            planner._consumed_conjuncts.update(id(c) for c in ready)
+            layout = self.root.out_layout
+            self.root = Filter(self.root, [compile_expr(c, layout) for c in ready], "WHERE")
 
     def traverse(
         self,
@@ -1019,7 +1000,7 @@ class _PathChain:
         if not forward:
             direction = {"out": "in", "in": "out", "any": "any"}[direction]
 
-        dst_bound = dst_var in self.bound_in_chain
+        dst_bound = dst_var in self.bound()
         # single hops fold destination labels into the algebra; variable
         # length must not (labels constrain only the endpoint, not the
         # intermediate hops the iterated matrix would otherwise filter)
@@ -1028,10 +1009,6 @@ class _PathChain:
         edge_var = rel.var
 
         if rel.variable_length:
-            if rel.properties:
-                raise CypherSemanticError(
-                    "property maps on variable-length relationships are not supported"
-                )
             self.root = CondVarLenTraverse(
                 self.root,
                 src_var,
@@ -1061,22 +1038,9 @@ class _PathChain:
                 types=rel.types,
                 direction=direction,
             )
-        if dst_bound:
-            # restated constraints on an already-bound variable still filter
-            self.filter_node_constraints(dst_node, dst_var)
-        else:
-            self.bound_in_chain.add(dst_var)
-            if rel.variable_length:
-                self.filter_node_constraints(dst_node, dst_var)
-            elif dst_node.properties:
-                # labels were folded into the expression; only properties remain
-                self._property_filter(dst_var, dst_node.properties)
-        if rel.properties and not rel.variable_length:
-            if edge_var is None:
-                raise CypherSemanticError(
-                    "property maps on anonymous relationships are not supported; bind a variable"
-                )
-            self._property_filter(edge_var, rel.properties)
+        # folded labels need no check; restated ones on a bound variable
+        # and a variable-length endpoint's still filter
+        self.constrain(dst_var, () if fold_labels else dst_node.labels)
 
 
 class _LabelCheckPredicate:
@@ -1116,78 +1080,26 @@ class _LabelCheckPredicate:
         )
 
 
-class _PropertyCheckPredicate:
-    """Inline property-map filter ``(n {k: v})`` with a vectorized twin:
-    one property-column gather + elementwise Cypher-equality per key."""
-
-    __slots__ = ("_slot", "_checks", "_batch_values")
-
-    def __init__(self, slot: int, checks) -> None:
-        self._slot = slot
-        self._checks = list(checks)
-        self._batch_values = [(key, vectorize(fn)) for key, fn in self._checks]
-
-    def __call__(self, record, ctx):
-        entity = record[self._slot]
-        if entity is None:
-            return False
-        props = entity.properties
-        for key, fn in self._checks:
-            if _equal(props.get(key), fn(record, ctx)) is not True:
-                return False
-        return True
-
-    def batch_eval(self, batch, ctx):
-        col = batch.columns[self._slot]
-        entity = as_entity_ids(col)
-        if entity is None:
-            rows = batch.materialize_rows()
-            return ValueColumn(
-                np.fromiter(
-                    (self(r, ctx) is True for r in rows),
-                    dtype=np.bool_,
-                    count=len(rows),
-                )
-            )
-        kind, ids = entity
-        gather = (
-            ctx.graph.node_property_column
-            if kind == "node"
-            else ctx.graph.edge_property_column
-        )
-        mask = ids >= 0
-        n = len(batch)
-        for (key, _), (_, bfn) in zip(self._checks, self._batch_values):
-            if not mask.any():
-                break
-            props = gather(ids, key)
-            wanted = as_column(bfn(batch, ctx), n).to_objects()
-            eq = np.fromiter(
-                (_equal(p, w) is True for p, w in zip(props, wanted)),
-                dtype=np.bool_,
-                count=n,
-            )
-            mask = mask & eq
-        return ValueColumn(mask)
-
-
 def _identifier_names(expr: A.Expr) -> Set[str]:
     from repro.cypher.semantic import _identifiers
 
     return _identifiers(expr)
 
 
-def _extract_id_seeks(where: Optional[A.Expr]) -> Dict[str, A.Expr]:
-    """Map var -> id-expression for top-level ``id(var) = expr`` conjuncts."""
-    out: Dict[str, A.Expr] = {}
+def _split_and(where: Optional[A.Expr]) -> List[A.Expr]:
+    """The top-level AND-conjuncts of ``where``, left to right."""
     if where is None:
-        return out
+        return []
+    if isinstance(where, A.BoolOp) and where.op == "AND":
+        return _split_and(where.left) + _split_and(where.right)
+    return [where]
 
-    def visit(e: A.Expr) -> None:
-        if isinstance(e, A.BoolOp) and e.op == "AND":
-            visit(e.left)
-            visit(e.right)
-            return
+
+def _extract_id_seeks(conjuncts: Sequence[A.Expr]) -> Dict[str, Tuple[A.Expr, A.Expr]]:
+    """var -> (conjunct, id-expression) for ``id(var) = expr`` conjuncts
+    (the last one wins; a NodeByIdSeek consumes only that one)."""
+    out: Dict[str, Tuple[A.Expr, A.Expr]] = {}
+    for e in conjuncts:
         if isinstance(e, A.Comparison) and e.op == "=":
             for fn_side, val_side in ((e.left, e.right), (e.right, e.left)):
                 if (
@@ -1196,37 +1108,9 @@ def _extract_id_seeks(where: Optional[A.Expr]) -> Dict[str, A.Expr]:
                     and len(fn_side.args) == 1
                     and isinstance(fn_side.args[0], A.Identifier)
                 ):
-                    out[fn_side.args[0].name] = val_side
-                    return
-
-    visit(where)
+                    out[fn_side.args[0].name] = (e, val_side)
+                    break
     return out
-
-
-def _fully_consumed_by_seeks(
-    where: A.Expr, consumed: Set[str], seeks: Dict[str, A.Expr]
-) -> bool:
-    """True when every AND-conjunct of ``where`` is the ``id(var) = expr``
-    comparison a NodeByIdSeek access path was built from — the residual
-    filter would re-test exactly what the seek already guarantees.  The
-    id-expression must match the one the seek consumed, so a repeated
-    ``id(a) = 1 AND id(a) = 2`` keeps its filter."""
-    if isinstance(where, A.BoolOp) and where.op == "AND":
-        return _fully_consumed_by_seeks(where.left, consumed, seeks) and _fully_consumed_by_seeks(
-            where.right, consumed, seeks
-        )
-    if isinstance(where, A.Comparison) and where.op == "=":
-        for fn_side, val_side in ((where.left, where.right), (where.right, where.left)):
-            if (
-                isinstance(fn_side, A.FunctionCall)
-                and fn_side.name == "id"
-                and len(fn_side.args) == 1
-                and isinstance(fn_side.args[0], A.Identifier)
-                and fn_side.args[0].name in consumed
-                and seeks.get(fn_side.args[0].name) == val_side
-            ):
-                return True
-    return False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1244,22 +1128,16 @@ class _RangeConjunct:
 _FLIP = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def _extract_range_conjuncts(where: Optional[A.Expr]) -> Dict[str, List[_RangeConjunct]]:
-    """var -> seek-consumable top-level AND-conjuncts of ``where``."""
+def _extract_range_conjuncts(conjuncts: Sequence[A.Expr]) -> Dict[str, List[_RangeConjunct]]:
+    """var -> the seek-consumable conjuncts among ``conjuncts``."""
     out: Dict[str, List[_RangeConjunct]] = {}
-    if where is None:
-        return out
 
     def prop_of(e: A.Expr):
         if isinstance(e, A.PropertyAccess) and isinstance(e.subject, A.Identifier):
             return e.subject.name, e.key
         return None
 
-    def visit(e: A.Expr) -> None:
-        if isinstance(e, A.BoolOp) and e.op == "AND":
-            visit(e.left)
-            visit(e.right)
-            return
+    for e in conjuncts:
         if isinstance(e, A.Comparison) and e.op in _FLIP:
             left_p, right_p = prop_of(e.left), prop_of(e.right)
             if left_p and not right_p:
@@ -1267,46 +1145,21 @@ def _extract_range_conjuncts(where: Optional[A.Expr]) -> Dict[str, List[_RangeCo
             elif right_p and not left_p:
                 (var, attr), op, value = right_p, _FLIP[e.op], e.left
             else:
-                return
+                continue
             out.setdefault(var, []).append(_RangeConjunct(e, var, attr, op, value))
-            return
-        if isinstance(e, A.StringPredicate) and e.op == "STARTS_WITH":
+        elif isinstance(e, A.StringPredicate) and e.op == "STARTS_WITH":
             p = prop_of(e.left)
             if p is not None:
                 out.setdefault(p[0], []).append(
                     _RangeConjunct(e, p[0], p[1], "STARTS WITH", e.right)
                 )
-            return
-        if isinstance(e, A.InList):
+        elif isinstance(e, A.InList):
             p = prop_of(e.needle)
             if p is not None:
                 out.setdefault(p[0], []).append(
                     _RangeConjunct(e, p[0], p[1], "IN", e.haystack)
                 )
-
-    visit(where)
     return out
-
-
-def _strip_conjuncts(where: A.Expr, consumed: Set[int]) -> Optional[A.Expr]:
-    """``where`` minus the consumed top-level AND-conjuncts (by node
-    identity); None when everything was consumed."""
-    if not consumed:
-        return where
-
-    def strip(e: A.Expr) -> Optional[A.Expr]:
-        if isinstance(e, A.BoolOp) and e.op == "AND":
-            left, right = strip(e.left), strip(e.right)
-            if left is None:
-                return right
-            if right is None:
-                return left
-            if left is e.left and right is e.right:
-                return e
-            return A.BoolOp("AND", left, right)
-        return None if id(e) in consumed else e
-
-    return strip(where)
 
 
 def _literal_of(e: A.Expr):

@@ -107,7 +107,7 @@ class TestPlanChoices:
         db.query("CREATE INDEX ON :Item(cat)")
         db.query("CREATE INDEX ON :Item(sku)")
         plan = db.explain("MATCH (n:Item {cat: 1, sku: 7}) RETURN n")
-        assert "NodeByIndexScan | (n:Item {sku})" in plan
+        assert "IndexRangeScan | (n:Item) [range: n.sku = 7]" in plan
 
     def test_rule_planner_reproduced_when_off(self, skewed):
         """The knob's contract: off must reproduce today's rule-based
@@ -142,6 +142,21 @@ class TestEstimateSurfacing:
         # growth crossed the epoch drift threshold: the cached plan was
         # re-priced, not reused with 5-node estimates
         assert "est_rows: 261" in skewed.explain("MATCH (a:Rare) RETURN a.i")
+
+
+    def test_positive_estimates_never_print_zero(self):
+        """Filters stacked on a one-row seek price far below one row; an
+        operator that may produce rows still shows est_rows >= 1."""
+        db = GraphDB("est")
+        set_knob(db, 1)
+        db.query("UNWIND range(0, 9) AS i CREATE (:P {uid: i, age: i})")
+        db.query("MATCH (a:P), (b:P) WHERE b.uid = a.uid + 1 CREATE (a)-[:K]->(b)")
+        db.query("CREATE INDEX ON :P(uid)")
+        q = "MATCH (a:P)-[:K]->(b) WHERE a.uid = 1 AND b.age > 0 AND a.age >= 0 RETURN b.uid"
+        assert db.query(q).rows == [(2,)]
+        plan = db.explain(q)
+        assert "est_rows: 0" not in plan, plan
+        assert "est_rows: 1" in plan
 
 
 class TestMorselGating:

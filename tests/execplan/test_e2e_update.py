@@ -170,7 +170,7 @@ class TestIndexClauses:
         r = db.query("CREATE INDEX ON :P(name)")
         assert r.stats.indices_created == 1
         plan = db.explain("MATCH (n:P {name:'A'}) RETURN n")
-        assert "NodeByIndexScan" in plan
+        assert "IndexRangeScan" in plan
         assert db.query("MATCH (n:P {name:'A'}) RETURN n.name").scalar() == "A"
 
     def test_without_index_label_scan(self, db):
@@ -183,7 +183,7 @@ class TestIndexClauses:
         r = db.query("DROP INDEX ON :P(name)")
         assert r.stats.indices_deleted == 1
         plan = db.explain("MATCH (n:P {name:'A'}) RETURN n")
-        assert "NodeByIndexScan" not in plan
+        assert "IndexRangeScan" not in plan
 
     def test_index_used_with_parameters(self, db):
         db.query("CREATE (:P {name:'A', v: 1})")

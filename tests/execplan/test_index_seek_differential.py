@@ -39,6 +39,15 @@ QUERIES = [
     "MATCH (n:P) WHERE n.v = 3 OR n.name = 'u5' RETURN id(n)",     # OR: no seek, still equal
     "MATCH (n:P)-[:R]->(m) WHERE n.v = 3 RETURN id(n), id(m)",     # seek under expand
     "MATCH (n:P) WHERE n.v = 3 RETURN count(n)",
+    # inline property maps lower to the same conjuncts
+    "MATCH (n:P {v: 3}) RETURN id(n)",                             # one-key map
+    "MATCH (n:P {g: 1, name: 'u3'}) RETURN id(n)",                 # composite full width
+    "MATCH (n:P {v: 3})-[:R]->(m:P {g: 2}) RETURN id(n), id(m)",   # map on a non-anchor node
+    "MATCH (m:P {g: 1})<-[:R]-(n:P {name: 'u1'}) RETURN id(n), id(m)",
+    "UNWIND [1, 3, 3.0, 'x', null] AS x MATCH (n:P {v: x}) RETURN id(n)",  # correlated
+    "MATCH (n:P {v: 3}) OPTIONAL MATCH (n)-[:R]->(m:P {g: 2}) RETURN id(n), id(m)",
+    "MERGE (n:P {g: 1, name: 'u3'}) RETURN id(n)",
+    "MERGE (n:P {v: 8.5, name: 'merged'}) RETURN id(n), n.v",    # creates on first run
 ]
 
 INDEX_DDL = [
@@ -151,3 +160,50 @@ class TestIndexOnOffDifferential:
         report = db.profile("MATCH (n:P) WHERE n.v > 2 RETURN id(n)").profile
         line = next(l for l in report.splitlines() if "IndexRangeScan" in l)
         assert f"Records produced: {expect}," in line and "est_rows" in line
+
+
+# (inline spelling, WHERE spelling): one predicate path plans them alike
+SPELLINGS = [
+    ("MATCH (a:P {uid: $u}) RETURN a.age",
+     "MATCH (a:P) WHERE a.uid = $u RETURN a.age"),
+    ("MATCH (a:P {uid: $u})-[:K]->(b) RETURN b.uid",
+     "MATCH (a:P)-[:K]->(b) WHERE a.uid = $u RETURN b.uid"),
+    ("MATCH (a:P {uid: $u})-[:K]->(b:P {age: 3})-[:K]->(c) RETURN c.uid",
+     "MATCH (a:P)-[:K]->(b:P)-[:K]->(c) WHERE a.uid = $u AND b.age = 3 RETURN c.uid"),
+    ("UNWIND $xs AS x MATCH (n:P {uid: x}) RETURN n.age",
+     "UNWIND $xs AS x MATCH (n:P) WHERE n.uid = x RETURN n.age"),
+]
+PARAMS = {"u": 4, "xs": [1, 4, 99]}
+
+
+def spelling_db(cost):
+    db = GraphDB("spell", GraphConfig(cost_based_planner=cost))
+    db.query("UNWIND range(0, 29) AS i CREATE (:P {uid: i, age: i % 5})")
+    db.query("MATCH (a:P), (b:P) WHERE b.uid = (a.uid + 1) % 30 OR b.uid = (a.uid * 7) % 30 "
+             "CREATE (a)-[:K]->(b)")
+    db.query("CREATE INDEX ON :P(uid)")
+    return db
+
+
+class TestOnePredicatePath:
+    @pytest.mark.parametrize("cost", [0, 1], ids=["rule", "cost"])
+    @pytest.mark.parametrize("pair", range(len(SPELLINGS)))
+    def test_inline_and_where_plan_identically(self, cost, pair):
+        db = spelling_db(cost)
+        inline, where = SPELLINGS[pair]
+        assert db.explain(inline, PARAMS) == db.explain(where, PARAMS)
+        rows = sorted(db.query(inline, PARAMS).rows)
+        assert rows and rows == sorted(db.query(where, PARAMS).rows)
+
+    @pytest.mark.parametrize("cost", [0, 1], ids=["rule", "cost"])
+    def test_conjuncts_sit_where_their_variables_bind(self, cost):
+        db = spelling_db(cost)
+        seek = db.explain(SPELLINGS[1][0], PARAMS)
+        assert "IndexRangeScan" in seek and "Filter" not in seek
+        lines = db.explain(SPELLINGS[2][1], PARAMS).splitlines()
+        at = lambda text: next(i for i, l in enumerate(lines) if text in l)
+        # rendered top-down: b's conjunct filters between the two hops
+        assert at("(b)->(c)") < at("Filter") < at("(a)->(b)") < at("IndexRangeScan")
+        correlated = db.explain(SPELLINGS[3][1], PARAMS)
+        assert "CartesianProduct" not in correlated
+        assert correlated.index("IndexRangeScan") < correlated.index("Unwind")

@@ -111,15 +111,15 @@ class TestSchemaVersionInvalidation:
         assert "NodeByLabelScan" in db.explain(q)
         db.query("CREATE INDEX ON :Person(name)")
         plan = db.explain(q)
-        assert "NodeByIndexScan" in plan
+        assert "IndexRangeScan" in plan
         assert db.query(q).scalar() == 1
 
     def test_index_drop_invalidates_cached_plan(self, db):
         db.query("CREATE INDEX ON :Person(name)")
         q = "MATCH (n:Person {name: 'p1'}) RETURN n.grp"
-        assert "NodeByIndexScan" in db.explain(q)
+        assert "IndexRangeScan" in db.explain(q)
         db.query("DROP INDEX ON :Person(name)")
-        assert "NodeByIndexScan" not in db.explain(q)
+        assert "IndexRangeScan" not in db.explain(q)
         assert db.query(q).scalar() == 1
 
     def test_stale_entry_counts_as_miss(self, db):

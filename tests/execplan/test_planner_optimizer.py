@@ -36,6 +36,17 @@ class TestAccessPaths:
         plan = db.explain("MATCH (n:Person) WHERE id(n) = 0 AND n.age > 1 RETURN n")
         assert "NodeByIdSeek" in plan
 
+    def test_id_seek_matches_what_equality_matches(self, db):
+        """The seek consumes its `id(n) = v` conjunct, so it must emit
+        exactly the node that conjunct holds True for: integral floats
+        match (1 = 1.0), bools, NaN, infinities and fractions match
+        nothing.  `id(n) + 0 = v` cannot seek and is the reference."""
+        assert db.query("MATCH (n) WHERE id(n) = 1.0 RETURN id(n)").rows == [(1,)]
+        for v in (1, 1.0, 1.5, True, float("nan"), float("inf"), None, "1"):
+            seek = db.query("MATCH (n) WHERE id(n) = $v RETURN id(n)", {"v": v}).rows
+            scan = db.query("MATCH (n) WHERE id(n) + 0 = $v RETURN id(n)", {"v": v}).rows
+            assert seek == scan == ([(1,)] if v in (1, 1.0) and v is not True else []), v
+
     def test_id_seek_not_used_for_or(self, db):
         plan = db.explain("MATCH (n) WHERE id(n) = 0 OR n.age > 1 RETURN n")
         assert "NodeByIdSeek" not in plan
@@ -43,13 +54,13 @@ class TestAccessPaths:
     def test_index_scan_after_create_index(self, db):
         db.query("CREATE INDEX ON :Person(name)")
         plan = db.explain("MATCH (n:Person {name: 'A'}) RETURN n")
-        assert "NodeByIndexScan" in plan
+        assert "IndexRangeScan" in plan
 
     def test_anchor_prefers_indexed_side(self, db):
         db.query("CREATE INDEX ON :Person(name)")
         plan = db.explain("MATCH (c:City)<-[:LIVES_IN]-(p:Person {name: 'A'}) RETURN c")
         # the Person side has an index: scan starts there, traverses backwards
-        assert plan.index("NodeByIndexScan") > plan.index("ConditionalTraverse")
+        assert plan.index("IndexRangeScan") > plan.index("ConditionalTraverse")
 
 
 class TestTraverseShapes:
@@ -123,6 +134,23 @@ class TestUnsupportedConstructs:
         with pytest.raises(CypherSemanticError, match="variable-length"):
             db.query("MATCH (a)-[:KNOWS* {w: 1}]->(b) RETURN b")
 
-    def test_anonymous_edge_properties_rejected(self, db):
-        with pytest.raises(CypherSemanticError, match="anonymous"):
-            db.query("MATCH (a)-[:KNOWS {w: 1}]->(b) RETURN b")
+    def test_relationship_property_maps(self, db):
+        """A relationship map lowers to a conjunct on the edge, named or
+        anonymous alike (the anonymous edge gets a planner name)."""
+        db.query("MATCH (a {name: 'A'})-[r:KNOWS]->() SET r.w = 1")
+        db.query("MATCH (a {name: 'A'}) CREATE (a)-[:KNOWS {w: 2}]->(:City {name: 'X'})")
+        for q in (
+            "MATCH (a:Person)-[:KNOWS {w: 1}]->(b) RETURN b.name",
+            "MATCH (a:Person)-[r:KNOWS {w: 1}]->(b) RETURN b.name",
+            "MATCH (a:Person)-[r:KNOWS]->(b) WHERE r.w = 1 RETURN b.name",
+        ):
+            assert db.query(q).rows == [("B",)], q
+        assert db.query("MATCH ()-[:KNOWS {w: 2}]->(c) RETURN c.name").rows == [("X",)]
+        assert db.query("MATCH ()-[:KNOWS {w: 3}]->(c) RETURN c.name").rows == []
+
+    def test_optional_arm_anonymous_names_stay_distinct(self, db):
+        """The OPTIONAL MATCH arm's anonymous nodes are new variables, not
+        the outer pattern's: `(a)-->()` twice is a 2 x 2 product."""
+        q = "MATCH (a:Person)-->() {} MATCH (a)-->() RETURN count(*)"
+        assert db.query(q.format("")).scalar() == 4
+        assert db.query(q.format("OPTIONAL")).scalar() == 4

@@ -144,7 +144,7 @@ class TestDifferential:
             a, b = both(pair, "MATCH (n:A {v: $v}) RETURN id(n), n.name", {"v": v})
             assert a == b, v
         # the probe must actually ride the index on the bulk graph
-        assert "NodeByIndexScan" in bulk.explain("MATCH (n:A {v: 3}) RETURN n")
+        assert "IndexRangeScan" in bulk.explain("MATCH (n:A {v: 3}) RETURN n")
 
     def test_one_hop(self, pair):
         total = pair[4]

@@ -209,7 +209,7 @@ class TestBookkeepingRegressions:
         db.query("CREATE INDEX ON :P(name)")
         db.bulk_insert(nodes=[{"labels": ["P"], "properties": {"name": ["ann", "bo"]}}])
         # the planner must both choose the index and find the bulk rows
-        assert "NodeByIndexScan" in db.explain("MATCH (n:P {name: 'ann'}) RETURN n")
+        assert "IndexRangeScan" in db.explain("MATCH (n:P {name: 'ann'}) RETURN n")
         assert db.query("MATCH (n:P {name: 'ann'}) RETURN count(n)").scalar() == 1
 
     def test_unindexable_bulk_values_skipped(self, g):

@@ -63,7 +63,7 @@ class TestRoundTrip:
         db.query("CREATE INDEX ON :Person(name)")
         db2 = roundtrip(db)
         plan = db2.explain("MATCH (n:Person {name:'Zed'}) RETURN n")
-        assert "NodeByIndexScan" in plan
+        assert "IndexRangeScan" in plan
         assert db2.query("MATCH (n:Person {name:'Zed'}) RETURN n.name").scalar() == "Zed"
 
     def test_config_preserved(self):

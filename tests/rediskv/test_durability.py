@@ -93,7 +93,7 @@ class TestKillAndRestart:
             run_workload(c, save_midway=save_midway)
             expected = snapshot_answers(c)
             index_plan = "\n".join(c.graph_explain("g", "MATCH (n:A {v: 3}) RETURN n"))
-            assert "NodeByIndexScan" in index_plan
+            assert "IndexRangeScan" in index_plan
         srv.stop()  # "crash": no clean GRAPH.SAVE of the tail
 
         srv2 = start_server(tmp_path)
@@ -104,7 +104,7 @@ class TestKillAndRestart:
         with RedisClient(port=srv2.port) as c2:
             assert_matches(c2, expected)
             # the index survived (snapshot or index.create replay)
-            assert "NodeByIndexScan" in "\n".join(
+            assert "IndexRangeScan" in "\n".join(
                 c2.graph_explain("g", "MATCH (n:A {v: 3}) RETURN n")
             )
             # the restored graph keeps accepting (and logging) writes
