@@ -100,7 +100,7 @@ def test_join_order_speedup_headline(benchmark, db):
     assert speedup >= floor, f"cost-chosen order only {speedup:.1f}x faster (need >= {floor}x)"
 
 
-SPELL_NODES = int(os.environ.get("REPRO_BENCH_PLANNER_SPELL_NODES", "20000"))
+SPELL_NODES = 20000
 SPELL_DEGREE = 5
 SPELLINGS = {
     "point": (

@@ -26,8 +26,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-from repro.execplan.ops_base import Argument, PlanOp, Unit
 import numpy as np
+
+from repro.cypher import ast_nodes as A
+from repro.execplan.ops_base import Argument, PlanOp, Unit
 
 from repro.execplan.ops_scan import (
     AllNodeScan,
@@ -101,6 +103,23 @@ class CostModel:
 
     def label_selectivity(self, label: str) -> float:
         return min(1.0, self.label_count(label) / self.node_count)
+
+    @staticmethod
+    def conjunct_selectivity(expr: A.Expr) -> float:
+        """Price of one WHERE conjunct: a property equality (``var.k = v``,
+        what an inline map lowers to) keeps DEFAULT_EQ_SELECTIVITY of its
+        rows, any other predicate DEFAULT_FILTER_SELECTIVITY."""
+        if isinstance(expr, A.Comparison) and expr.op == "=" and (
+            isinstance(expr.left, A.PropertyAccess) or isinstance(expr.right, A.PropertyAccess)
+        ):
+            return DEFAULT_EQ_SELECTIVITY
+        return DEFAULT_FILTER_SELECTIVITY
+
+    def conjuncts_selectivity(self, conjuncts: Sequence[A.Expr]) -> float:
+        sel = 1.0
+        for expr in conjuncts:
+            sel *= self.conjunct_selectivity(expr)
+        return sel
 
     def seek_estimate(self, label, attributes, kind, specs) -> float:
         """Expected rows of one IndexRangeScan: the index's size times the
@@ -202,14 +221,15 @@ class CostModel:
     def access_estimate(
         self,
         labels: Sequence[str],
-        conjunct_count: int,
+        residual_sel: float = 1.0,
         *,
         id_seek: bool = False,
-        seek: Optional[Tuple[float, int]] = None,
+        seek_rows: Optional[float] = None,
     ) -> Tuple[float, float, int]:
-        """(estimated rows, work, rule score) of scanning one node pattern
-        with ``conjunct_count`` conjuncts filtering it; ``seek`` is the
-        (rows, conjuncts consumed) of the index seek chosen for it.
+        """(estimated rows, work, rule score) of scanning one node pattern;
+        ``seek_rows`` is the estimate of the index seek chosen for it and
+        ``residual_sel`` the selectivity of the conjuncts filtering it
+        that the seek does not consume.
 
         ``work`` is what the access op itself materializes — the rows any
         residual label Filter or conjunct must then examine — while the
@@ -226,15 +246,12 @@ class CostModel:
             extra = 1.0
             for lbl in labels[1:]:
                 extra *= self.label_selectivity(lbl)
-            if seek is not None:
-                rows, consumed = seek
-                residual = DEFAULT_EQ_SELECTIVITY ** (conjunct_count - consumed)
-                return rows * residual * extra, rows, 2
+            if seek_rows is not None:
+                return seek_rows * residual_sel * extra, seek_rows, 2
             count = self.label_count(labels[0])
-            sel = DEFAULT_EQ_SELECTIVITY ** conjunct_count
-            return count * sel * extra, count, 1
+            return count * residual_sel * extra, count, 1
         n = float(self.node_count)
-        return n * DEFAULT_EQ_SELECTIVITY ** conjunct_count, n, 0
+        return n * residual_sel, n, 0
 
     def step_estimate(
         self,
@@ -242,7 +259,7 @@ class CostModel:
         types: Sequence[str],
         direction: str,
         dst_labels: Sequence[str],
-        dst_conjunct_count: int,
+        dst_sel: float = 1.0,
         *,
         variable_length: bool = False,
         min_hops: int = 1,
@@ -252,7 +269,7 @@ class CostModel:
         """(rows after the step, work, source-side distinct fraction).
 
         ``work`` is what the traversal materializes before the Filter of
-        the ``dst_conjunct_count`` conjuncts placed on the destination
+        the conjuncts placed on the destination (selectivity ``dst_sel``)
         runs (labels are free — they fold into the algebraic expression as
         a diagonal operand, so wrong-label rows never exist); the first
         value applies their selectivity on top and is the frontier carried
@@ -265,7 +282,6 @@ class CostModel:
         label_sel = 1.0
         for lbl in dst_labels:
             label_sel *= self.label_selectivity(lbl)
-        prop_sel = DEFAULT_EQ_SELECTIVITY ** dst_conjunct_count
         fan = self.fan(types, direction)
         if dst_bound:
             # both endpoints fixed: P(entry exists) per row
@@ -283,9 +299,9 @@ class CostModel:
                     total = float(n)
                     break
             work = src_est * total * label_sel
-            return work * prop_sel, work, src_frac
+            return work * dst_sel, work, src_frac
         work = src_est * fan * label_sel
-        return work * prop_sel, work, src_frac
+        return work * dst_sel, work, src_frac
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +413,12 @@ def _estimate(op: PlanOp, model: CostModel) -> float:
         return (_child_est(op) if op.children else 1.0) * model.label_count(op._label)
     if isinstance(op, ConditionalTraverse):
         est, _, _ = model.step_estimate(
-            _child_est(op), op._types, op._direction, _diag_labels(op._expr), 0
+            _child_est(op), op._types, op._direction, _diag_labels(op._expr)
         )
         return est
     if isinstance(op, ExpandInto):
         est, _, _ = model.step_estimate(
-            _child_est(op), op._types, op._direction, (), 0, dst_bound=True
+            _child_est(op), op._types, op._direction, (), dst_bound=True
         )
         return est
     if isinstance(op, CondVarLenTraverse):
@@ -412,7 +428,6 @@ def _estimate(op: PlanOp, model: CostModel) -> float:
             types,
             direction,
             (),
-            0,
             variable_length=True,
             min_hops=op._min,
             max_hops=op._max,
@@ -428,8 +443,8 @@ def _estimate(op: PlanOp, model: CostModel) -> float:
         return (_child_est(op) if op.children else 1.0) * base
     if isinstance(op, Filter):
         sel = 1.0
-        for predicate in op._predicates:
-            sel *= _predicate_selectivity(model, predicate)
+        for predicate, given in zip(op._predicates, op._selectivities):
+            sel *= given if given is not None else _predicate_selectivity(model, predicate)
         return _child_est(op) * sel
     if isinstance(op, Limit):
         literal = _literal_limit(op)

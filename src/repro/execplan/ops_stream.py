@@ -104,10 +104,15 @@ class Filter(PlanOp):
 
     name = "Filter"
 
-    def __init__(self, child: PlanOp, predicate, label: str = "") -> None:
+    def __init__(self, child: PlanOp, predicate, label: str = "", selectivities=None) -> None:
         super().__init__([child], child.out_layout)
         self._predicates: List[CompiledExpr] = (
             list(predicate) if isinstance(predicate, (list, tuple)) else [predicate]
+        )
+        # per-predicate price the planner chose it by (None: the cost
+        # model's default); read only by the est_rows annotation
+        self._selectivities: List[Optional[float]] = (
+            list(selectivities) if selectivities is not None else [None] * len(self._predicates)
         )
         self._batch_predicates = [vectorize(p) for p in self._predicates]
         self._pairs = list(zip(self._predicates, self._batch_predicates))

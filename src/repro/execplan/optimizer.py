@@ -64,6 +64,7 @@ def _rewrite(op: PlanOp) -> PlanOp:
             inner.children[0],
             inner._predicates + op._predicates,
             f"{inner._label} AND {op._label}".strip(" AND "),
+            inner._selectivities + op._selectivities,
         )
         return fused_op
     return op

@@ -256,8 +256,15 @@ class _Planner:
             self._range_preds = {}
             self._consumed_conjuncts = set()
         if residual:
-            layout = self._layout()
-            self.root = Filter(self.root, [compile_expr(c, layout) for c in residual], "WHERE")
+            self.root = self._conjunct_filter(self.root, residual)
+
+    def _conjunct_filter(self, child: PlanOp, conjuncts: Sequence[A.Expr]) -> Filter:
+        """One WHERE Filter over ``conjuncts``, each carrying the
+        selectivity the cost model prices it at (EXPLAIN's est_rows then
+        matches the frontier the join order was chosen by)."""
+        layout = child.out_layout
+        sel = [self.cost.conjunct_selectivity(c) for c in conjuncts] if self.cost is not None else None
+        return Filter(child, [compile_expr(c, layout) for c in conjuncts], "WHERE", sel)
 
     def _lower_property_maps(
         self, patterns: Sequence[A.Path], where: Optional[A.Expr]
@@ -331,20 +338,25 @@ class _Planner:
                 anchor = i
                 break
         connected = anchor is not None
-
-        # a path may also be *correlated*: one of its conjuncts references
-        # a bound variable (UNWIND xs AS x MATCH (n {k: x})); chain the
-        # scan onto the stream instead of cross-producting
         correlated = False
-        if not connected and bound:
-            own = set(node_vars) | {r.var for r in rels if r.var} | {path_var}
-            correlated = any(names & own and names & bound for _, names in self._conjuncts)
+        anchor_est = 1.0
 
         if anchor is None:
             if self.cost is not None:
                 anchor = self._cost_scan_anchor(nodes, node_vars, rels)
+                # priced before scan_anchor consumes the anchor's conjuncts
+                anchor_est = self._anchor_access_estimate(nodes[anchor], node_vars[anchor])[0]
             else:
                 anchor = self._best_scan_anchor(nodes, node_vars)
+            # a path is *correlated* when a conjunct on its anchor reads a
+            # bound variable (UNWIND xs AS x MATCH (n:P) WHERE n.uid = x):
+            # the anchor's seek or scan runs per stream row.  A conjunct
+            # further along the path filters above a CartesianProduct
+            # instead, so the path's traversals run once.
+            anchor_var = node_vars[anchor]
+            correlated = any(
+                _identifier_names(c) - {anchor_var} for c in self._conjuncts_on(anchor_var, bound)
+            )
 
         # build the path subtree; disconnected paths start their own chain
         chain_root = self.root if (connected or correlated) else None
@@ -358,10 +370,9 @@ class _Planner:
         if self.cost is not None:
             # greedy join order: at each point extend whichever side of the
             # bound [l, r] range keeps the estimated frontier smallest
-            anchor_est, _, _ = self._anchor_access_estimate(nodes[anchor], node_vars[anchor])
             steps = self._greedy_steps(
                 anchor,
-                1.0 if connected else anchor_est,
+                anchor_est,
                 nodes,
                 node_vars,
                 rels,
@@ -427,16 +438,27 @@ class _Planner:
         best, best_score = 0, -1
         bound = self._bound()
         for i, node in enumerate(nodes):
-            score = 0
-            if node_vars[i] in self._id_seeks:
-                score = 3
-            elif node.labels:
-                score = 1
-                if self._pick_conjunct_seek(node.labels[0], node_vars[i], bound) is not None:
-                    score = 2
+            seek = self._anchor_seek(node, node_vars[i], bound)
+            if seek is not None:
+                score = 3 if seek[0] == "id" else 2
+            else:
+                score = 1 if node.labels else 0
             if score > best_score:
                 best, best_score = i, score
         return best
+
+    def _anchor_seek(self, node: A.NodePattern, var: str, base: Set[str]):
+        """The seek ``var``'s scan opens with when the names in ``base``
+        are bound: ``("id", (conjunct, value))``, ``("index", pick)`` (see
+        :meth:`_pick_conjunct_seek`) or None for a label or full scan."""
+        seek = self._id_seeks.get(var)
+        if seek is not None and not (_identifier_names(seek[1]) - base):
+            return "id", seek
+        if node.labels:
+            pick = self._pick_conjunct_seek(node.labels[0], var, base)
+            if pick is not None:
+                return "index", pick
+        return None
 
     def _pick_conjunct_seek(self, label: str, var: str, base_names: Set[str]):
         """Choose the index seek for ``var``'s WHERE conjuncts, or None.
@@ -505,14 +527,21 @@ class _Planner:
         self, node: A.NodePattern, var: str
     ) -> Tuple[float, float, int]:
         bound = self._bound()
-        id_seek = var in self._id_seeks
-        seek = None
-        if node.labels and not id_seek:
-            pick = self._pick_conjunct_seek(node.labels[0], var, bound)
-            if pick is not None:
-                seek = pick[3], len(pick[2])
+        seek = self._anchor_seek(node, var, bound)
+        seek_rows = None
+        if seek is None:
+            consumed = set()
+        elif seek[0] == "id":
+            consumed = {id(seek[1][0])}
+        else:
+            seek_rows = seek[1][3]
+            consumed = {id(c.expr) for c in seek[1][2]}
+        residual = [c for c in self._conjuncts_on(var, bound) if id(c) not in consumed]
         return self.cost.access_estimate(
-            node.labels, len(self._conjuncts_on(var, bound)), id_seek=id_seek, seek=seek
+            node.labels,
+            self.cost.conjuncts_selectivity(residual),
+            id_seek=seek is not None and seek[0] == "id",
+            seek_rows=seek_rows,
         )
 
     def _price_step(
@@ -532,7 +561,9 @@ class _Planner:
             rel.types,
             direction,
             () if dst_bound else dst_node.labels,
-            0 if dst_bound else len(self._conjuncts_on(dst_var, seen | self._bound())),
+            1.0
+            if dst_bound
+            else self.cost.conjuncts_selectivity(self._conjuncts_on(dst_var, seen | self._bound())),
             variable_length=rel.variable_length,
             min_hops=min_hops,
             max_hops=max_hops,
@@ -938,15 +969,14 @@ class _PathChain:
         base = set(layout.names)
         scan: PlanOp
         labels = node.labels
-        seek = planner._id_seeks.get(var)
-        if seek is not None and not (_identifier_names(seek[1]) - base):
-            conjunct, value = seek
+        seek = planner._anchor_seek(node, var, base)
+        if seek is not None and seek[0] == "id":
+            conjunct, value = seek[1]
             scan = NodeByIdSeek(var, compile_expr(value, layout), child)
             planner._consumed_conjuncts.add(id(conjunct))
         elif labels:
-            pick = planner._pick_conjunct_seek(labels[0], var, base)
-            if pick is not None:
-                kind, attrs, chosen, _est = pick
+            if seek is not None:
+                kind, attrs, chosen, _est = seek[1]
                 specs = [
                     SeekSpec(
                         c.attr,
@@ -983,8 +1013,7 @@ class _PathChain:
         ]
         if ready:
             planner._consumed_conjuncts.update(id(c) for c in ready)
-            layout = self.root.out_layout
-            self.root = Filter(self.root, [compile_expr(c, layout) for c in ready], "WHERE")
+            self.root = planner._conjunct_filter(self.root, ready)
 
     def traverse(
         self,

@@ -109,6 +109,24 @@ class TestPlanChoices:
         plan = db.explain("MATCH (n:Item {cat: 1, sku: 7}) RETURN n")
         assert "IndexRangeScan | (n:Item) [range: n.sku = 7]" in plan
 
+    def test_only_anchor_conjuncts_correlate(self):
+        """A conjunct on the anchor that reads an outer variable runs the
+        anchor's scan per outer row; one further along the path
+        (`c.x = a.x`) filters above a CartesianProduct, so the path's
+        traversal runs once rather than once per outer row."""
+        db = GraphDB("corr")
+        set_knob(db, 0)
+        db.query("UNWIND range(0, 5) AS i CREATE (:A {x: i}), (:B {x: i})-[:K]->(:C {x: i % 3})")
+        off_anchor = "MATCH (a:A) MATCH (b:B)-[:K]->(c) WHERE c.x = a.x RETURN count(*)"
+        plan = db.explain(off_anchor)
+        assert plan.index("CartesianProduct") < plan.index("ConditionalTraverse"), plan
+        on_anchor = "MATCH (a:A) MATCH (b:B)-[:K]->(c) WHERE b.x = a.x RETURN count(*)"
+        assert "CartesianProduct" not in db.explain(on_anchor)
+        for knob in (0, 1):
+            set_knob(db, knob)
+            assert db.query(off_anchor).scalar() == 6
+            assert db.query(on_anchor).scalar() == 6
+
     def test_rule_planner_reproduced_when_off(self, skewed):
         """The knob's contract: off must reproduce today's rule-based
         plans byte-for-byte (no estimates, syntactic anchor)."""
@@ -143,6 +161,15 @@ class TestEstimateSurfacing:
         # re-priced, not reused with 5-node estimates
         assert "est_rows: 261" in skewed.explain("MATCH (a:Rare) RETURN a.i")
 
+    def test_equality_conjuncts_keep_the_inline_map_price(self, skewed):
+        """`a.grp = 1` keeps 0.1 of its rows (120 -> 12) in either
+        spelling, as the inline map's filter always did and as join-order
+        pricing assumes; an opaque predicate keeps 0.25 (120 -> 30)."""
+        inline = skewed.explain("MATCH (a:Common {grp: 1}) RETURN a.i")
+        assert inline == skewed.explain("MATCH (a:Common) WHERE a.grp = 1 RETURN a.i")
+        assert "Filter | WHERE | est_rows: 12" in inline
+        opaque = skewed.explain("MATCH (a:Common) WHERE a.grp > 1 RETURN a.i")
+        assert "Filter | WHERE | est_rows: 30" in opaque
 
     def test_positive_estimates_never_print_zero(self):
         """Filters stacked on a one-row seek price far below one row; an

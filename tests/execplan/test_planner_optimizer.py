@@ -47,6 +47,15 @@ class TestAccessPaths:
             scan = db.query("MATCH (n) WHERE id(n) + 0 = $v RETURN id(n)", {"v": v}).rows
             assert seek == scan == ([(1,)] if v in (1, 1.0) and v is not True else []), v
 
+    def test_id_seek_on_unbound_value_does_not_anchor(self, db):
+        """`id(b) = a.ref` cannot seek before `a` binds, so it earns `b`
+        no id-seek rank: the labelled `a` anchors instead of a full scan."""
+        db.query("MATCH (a:Person {name: 'A'}) SET a.ref = 1")
+        q = "MATCH (a:Person)-->(b) WHERE id(b) = a.ref RETURN b.name"
+        plan = db.explain(q)
+        assert "NodeByLabelScan | (a:Person)" in plan and "AllNodeScan" not in plan, plan
+        assert db.query(q).rows == [("B",)]
+
     def test_id_seek_not_used_for_or(self, db):
         plan = db.explain("MATCH (n) WHERE id(n) = 0 OR n.age > 1 RETURN n")
         assert "NodeByIdSeek" not in plan
